@@ -14,11 +14,11 @@ paper-scale workload (TPC-H schema, seeded query generator):
 5. the same portfolio on worker processes (``backend="process"``) —
    likewise bit-identical.
 
-A separate micro-benchmark isolates the evaluator kernel itself: the
-per-candidate ``cost_with_row`` loop (the pre-fusion access pattern)
-against one fused ``best_for_rows`` call over the same candidate
-rows, reported as ``eval_throughput_candidates_per_s`` and the
-speedup ratio.
+A separate micro-benchmark isolates the evaluator kernel itself: one
+single-row ``costs_for_rows`` call per candidate (the pre-fusion
+access pattern) against one fused ``best_for_rows`` call over the
+same candidate rows, reported as ``eval_throughput_candidates_per_s``
+and the speedup ratio.
 
 Writes a machine-readable ``BENCH_search.json`` at the repo root (wall
 times, evaluation/pruning counts, speedups, drift, and — since
@@ -165,11 +165,10 @@ def measure_eval_throughput(farm, evaluator, sizes, graph,
     touching subplans (every striped disk subset, capped), then times
     two arms over the identical rows:
 
-    * ``loop`` — one ``cost_with_rows({name: row})`` call per
+    * ``loop`` — one ``costs_for_rows((name,), row[None])`` call per
       candidate plus a Python running-minimum: the pre-fusion
-      per-candidate access pattern (the dict path re-gathers the
-      touched subplans on every call, exactly as ``cost_with_row``
-      did before it was routed through the batched kernel);
+      per-candidate access pattern, paying the per-call overhead and
+      a one-row pass through the kernel for every candidate;
     * ``fused`` — a single :meth:`best_for_rows` call (vectorized
       bounds prune + chunked batch evaluation of the survivors).
 
@@ -204,7 +203,7 @@ def measure_eval_throughput(farm, evaluator, sizes, graph,
     def run_loop():
         best = base_cost
         for row in rows:
-            cost = evaluator.cost_with_rows({name: row})
+            cost = evaluator.costs_for_rows((name,), row[None])[0]
             if cost < best:
                 best = cost
         return best
@@ -213,7 +212,7 @@ def measure_eval_throughput(farm, evaluator, sizes, graph,
 
     def run_fused():
         best, index, n_pruned = evaluator.best_for_rows(
-            name, rows, base_cost)
+            (name,), rows, base_cost)
         pruned["n"] = n_pruned
         return best if index >= 0 else base_cost
 

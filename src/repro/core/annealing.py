@@ -129,7 +129,7 @@ def annealing_search(farm: DiskFarm,
                 infeasible += 1
                 temperature *= cooling
                 continue
-            candidate_cost = evaluator.cost_with_row(name, row)
+            candidate_cost = evaluator.costs_for_rows((name,), row[None])[0]
             evaluations += 1
             delta = candidate_cost - cost
             if delta <= 0 or rng.random() < math.exp(

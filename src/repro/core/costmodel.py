@@ -138,14 +138,55 @@ class CostModel:
                    for a in workload)
 
 
+class _Slice:
+    """The subplans one object group touches, gathered for its moves.
+
+    The static fields depend only on the packed workload, so they
+    survive every base change.  The base fields describe the base
+    layout as of ``epoch``; once the evaluator's ``set_base`` or
+    ``commit_rows`` moved the base on, ``affected_base`` is refreshed on
+    next use and the two arrays are rebuilt only by the call that
+    reads them (``base_sub`` by exact evaluation, ``other_transfer``
+    by the bound), so a group whose candidates are all pruned never
+    holds a stream spread.
+    """
+
+    __slots__ = ("affected", "idx", "blocks", "inv", "is_target",
+                 "weights", "target_coeff", "epoch", "base_sub",
+                 "affected_base", "other_transfer")
+
+    def __init__(self, affected: np.ndarray, idx: np.ndarray,
+                 blocks: np.ndarray, inv: np.ndarray,
+                 is_target: np.ndarray, weights: np.ndarray):
+        self.affected = affected                      # (S,)
+        self.idx = idx                                # (S, K)
+        self.blocks = blocks                          # (S, K, 1)
+        self.inv = inv                                # (S, K, m)
+        self.is_target = is_target                    # (S, K, 1)
+        self.weights = weights                        # (S,)
+        # The candidate-scaled half of the transfer split when every
+        # group member takes the same row; the base-dependent half is
+        # ``other_transfer``.
+        self.target_coeff = (np.where(is_target, blocks, 0.0)
+                             * inv).sum(axis=1)       # (S, m)
+        self.epoch = 0
+        self.affected_base = 0.0
+        self.base_sub: np.ndarray | None = None       # (S, K, m)
+        self.other_transfer: np.ndarray | None = None  # (S, m)
+
+
 class WorkloadCostEvaluator:
     """Precompiled, vectorized workload cost evaluation.
 
     The search algorithms evaluate thousands of candidate layouts that
-    differ from a base layout in a single object's fraction row; this
-    class supports both full evaluation (:meth:`cost`) and O(affected
-    subplans) delta evaluation (:meth:`cost_with_row` after
-    :meth:`set_base`).
+    differ from a base layout in the row of one object — or in the rows
+    of one co-location group, whose members usually take the same row
+    (incremental search blends each member toward its own current
+    row, so theirs can differ).  Besides
+    full evaluation (:meth:`cost`), the evaluator holds a base layout
+    (:meth:`set_base`, :meth:`commit_rows`) and costs candidate rows
+    against it in time proportional to the subplans the moved objects
+    touch (:meth:`costs_for_rows`, :meth:`best_for_rows`).
 
     Two optimizations keep large experiments (64 disks x 800 queries)
     tractable without changing any result:
@@ -168,12 +209,8 @@ class WorkloadCostEvaluator:
 
     def __init__(self, workload: AnalyzedWorkload, farm: DiskFarm,
                  object_names: Sequence[str], metrics=None):
-        self._metrics = metrics if metrics is not None else NULL_METRICS
-        self._farm = farm
-        self._names = list(object_names)
-        self._index = {name: i for i, name in enumerate(self._names)}
+        index = {name: i for i, name in enumerate(object_names)}
         m = len(farm)
-        self._seeks = np.array([d.avg_seek_s for d in farm])
         inv_read = np.array([1.0 / d.read_blocks_s for d in farm])
         inv_write = np.array([1.0 / d.write_blocks_s for d in farm])
 
@@ -182,102 +219,95 @@ class WorkloadCostEvaluator:
         for analyzed in workload:
             for subplan in analyzed.subplans:
                 entries = tuple(sorted(
-                    (self._index[name], write, round(blocks, 6))
+                    (index[name], write, round(blocks, 6))
                     for (name, write), blocks
                     in subplan.blocks_by_object(include_temp=False).items()
-                    if blocks > 0 and name in self._index))
+                    if blocks > 0 and name in index))
                 if not entries:
                     continue
                 signatures[entries] = signatures.get(entries, 0.0) \
                     + analyzed.weight
-        self._n_subplans = len(signatures)
-        self.n_compressed_from = sum(
-            1 for a in workload for s in a.subplans if s.accesses)
-        if self._n_subplans == 0:
-            self._idx = np.zeros((0, 1), dtype=np.intp)
-            self._blocks = np.zeros((0, 1))
-            self._mask = np.zeros((0, 1), dtype=bool)
-            self._inv = np.zeros((0, 1, m))
-            self._weights = np.zeros(0)
-        else:
-            k_max = max(len(sig) for sig in signatures)
-            s_count = self._n_subplans
-            self._idx = np.zeros((s_count, k_max), dtype=np.intp)
-            self._blocks = np.zeros((s_count, k_max))
-            self._mask = np.zeros((s_count, k_max), dtype=bool)
-            self._inv = np.zeros((s_count, k_max, m))
-            self._weights = np.zeros(s_count)
-            for s, (sig, weight) in enumerate(signatures.items()):
-                self._weights[s] = weight
-                for k, (obj, write, blocks) in enumerate(sig):
-                    self._idx[s, k] = obj
-                    self._blocks[s, k] = blocks
-                    self._mask[s, k] = True
-                    self._inv[s, k] = inv_write if write else inv_read
-        #: subplan indices touching each object row
-        self._touching: list[np.ndarray] = []
-        for i in range(len(self._names)):
-            rows = np.nonzero(((self._idx == i) & self._mask)
-                              .any(axis=1))[0]
-            self._touching.append(rows)
-        self._init_mutable_state()
-        self._metrics.set_gauge("costmodel.subplans", self._n_subplans)
+        s_count = len(signatures)
+        k_max = max((len(sig) for sig in signatures), default=1)
+        # Padding slots keep zero blocks (and a False mask), so they
+        # contribute nothing to any stream spread.
+        idx = np.zeros((s_count, k_max), dtype=np.intp)
+        blocks_packed = np.zeros((s_count, k_max))
+        mask = np.zeros((s_count, k_max), dtype=bool)
+        inv = np.zeros((s_count, k_max, m))
+        weights = np.zeros(s_count)
+        for s, (sig, weight) in enumerate(signatures.items()):
+            weights[s] = weight
+            for k, (obj, write, blocks) in enumerate(sig):
+                idx[s, k] = obj
+                blocks_packed[s, k] = blocks
+                mask[s, k] = True
+                inv[s, k] = inv_write if write else inv_read
+        packed = {"_idx": idx, "_blocks": blocks_packed, "_mask": mask,
+                  "_inv": inv, "_weights": weights,
+                  "_seeks": np.array([d.avg_seek_s for d in farm])}
+        self._adopt(farm, object_names, packed,
+                    n_compressed_from=sum(1 for a in workload
+                                          for s in a.subplans
+                                          if s.accesses),
+                    metrics=metrics)
+        self._metrics.set_gauge("costmodel.subplans", self.n_subplans)
         self._metrics.set_gauge("costmodel.subplans_raw",
                                 self.n_compressed_from)
 
-    def _init_mutable_state(self) -> None:
-        """Fresh per-search mutable state (base matrix and caches).
+    def _adopt(self, farm: DiskFarm, object_names: Sequence[str],
+               packed: dict[str, np.ndarray], n_compressed_from: int,
+               metrics=None, pin: object = None) -> None:
+        """The one construction path: adopt packed arrays, fresh state.
 
-        Shared by ``__init__``, :meth:`clone` and the shared-memory
-        attach path — anything mutable an evaluator owns starts here,
-        so clones and attached replicas can never alias search state.
+        ``__init__`` packs a workload, :meth:`clone` reuses its own
+        packing and :func:`repro.parallel.shared.attach_evaluator` maps
+        a shared segment; all three end here, so the derived index and
+        the per-search mutable state are built in one place and clones
+        and attached replicas can never alias search state.  ``pin``
+        keeps the owner of the arrays' memory (a shared-memory mapping)
+        alive as long as the evaluator.
         """
-        self._base_matrix: np.ndarray | None = None
-        self._base_costs: np.ndarray | None = None
+        self._metrics = metrics if metrics is not None else NULL_METRICS
+        self._farm = farm
+        self._names = list(object_names)
+        self._index = {name: i for i, name in enumerate(self._names)}
+        (self._idx, self._blocks, self._mask, self._inv, self._weights,
+         self._seeks) = (packed[attr] for attr in PACKED_ARRAYS)
+        self._pin = pin
+        self.n_compressed_from = n_compressed_from
+        #: subplan indices touching each object row
+        self._touching = [
+            np.nonzero(((self._idx == i) & self._mask).any(axis=1))[0]
+            for i in range(len(self._names))]
+        self._base_matrix = np.zeros((0, 0))
+        self._base_costs = np.zeros(0)
         self._base_total: float = 0.0
         #: Monotone counter identifying the current base layout; bumped
-        #: by :meth:`set_base` and :meth:`commit_rows`.  Base-dependent
-        #: cache entries are tagged with the epoch they were built at
-        #: and are valid only while the tags match.
+        #: by :meth:`set_base` and :meth:`commit_rows`, so 0 means no
+        #: base yet.  A cache entry's base fields are valid only while
+        #: its epoch matches.
         self._base_epoch: int = 0
-        #: per-object base-independent slices for batched delta eval:
-        #: ``i -> (idx, blocks_mask, inv, is_target, weights)``
-        self._slice_static: dict[int, tuple] = {}
-        #: per-object base-dependent slice state:
-        #: ``i -> (epoch, base_sub, affected_base)``
-        self._slice_base: dict[int, tuple] = {}
-        #: per-object base-independent bound slices:
-        #: ``i -> (target_coeff, weights, idx, blocks_mask, inv,
-        #: is_target)``
-        self._bound_static: dict[int, tuple] = {}
-        #: per-object base-dependent bound state:
-        #: ``i -> (epoch, other_transfer, affected_base)``
-        self._bound_base: dict[int, tuple] = {}
+        #: per-group gathered subplans, keyed by the sorted row indices
+        #: of the group's members
+        self._slices: dict[tuple[int, ...], _Slice] = {}
 
     # -- matrix plumbing -----------------------------------------------------
 
     def clone(self) -> "WorkloadCostEvaluator":
         """A twin sharing the packed arrays but no mutable state.
 
-        The packed ``(S, K, m)`` arrays and the touching-set index are
-        immutable after construction, so clones reference them without
-        copying; the base matrix, the per-object caches and the metrics
-        binding are private per clone.  This is what lets the
-        thread-backed portfolio run trajectories concurrently: numpy
-        kernels release the GIL, and each trajectory mutates only its
-        own clone.
+        The packed ``(S, K, m)`` arrays are immutable after
+        construction, so clones reference them without copying; the
+        base matrix, the slice cache and the metrics binding are
+        private per clone.  This is what lets the thread-backed
+        portfolio run trajectories concurrently: numpy kernels release
+        the GIL, and each trajectory mutates only its own clone.
         """
         twin = WorkloadCostEvaluator.__new__(WorkloadCostEvaluator)
-        twin._metrics = NULL_METRICS
-        twin._farm = self._farm
-        twin._names = list(self._names)
-        twin._index = dict(self._index)
-        for attr in PACKED_ARRAYS:
-            setattr(twin, attr, getattr(self, attr))
-        twin._n_subplans = self._n_subplans
-        twin.n_compressed_from = self.n_compressed_from
-        twin._touching = self._touching
-        twin._init_mutable_state()
+        twin._adopt(self._farm, self._names,
+                    {attr: getattr(self, attr) for attr in PACKED_ARRAYS},
+                    self.n_compressed_from, pin=self._pin)
         return twin
 
     @property
@@ -312,7 +342,7 @@ class WorkloadCostEvaluator:
     @property
     def n_subplans(self) -> int:
         """Number of distinct (compressed) subplan signatures."""
-        return self._n_subplans
+        return len(self._weights)
 
     def matrix_of(self, layout: Layout) -> np.ndarray:
         """The layout's fraction matrix in this evaluator's row order."""
@@ -322,63 +352,72 @@ class WorkloadCostEvaluator:
     def touching_count(self, object_name: str) -> int:
         """How many subplans read ``object_name``.
 
-        The object's delta-evaluation cost is proportional to this;
-        benchmarks use it to pick the hottest object.
+        The cost of evaluating the object's candidate rows is
+        proportional to this; benchmarks use it to pick the hottest
+        object.
         """
         return int(self._touching[self._index[object_name]].size)
 
-    # -- evaluation ------------------------------------------------------------
+    # -- the Figure-7 kernel --------------------------------------------------
 
-    def _subplan_costs(self, matrix: np.ndarray,
-                       rows: np.ndarray | None = None) -> np.ndarray:
-        """Per-subplan Figure-7 costs; ``rows`` selects a subset."""
-        if rows is None:
-            idx, blocks, mask, inv = (self._idx, self._blocks,
-                                      self._mask, self._inv)
-        else:
-            idx, blocks, mask, inv = (self._idx[rows],
-                                      self._blocks[rows],
-                                      self._mask[rows], self._inv[rows])
-        # sub[s, k, j]: blocks of stream k on disk j.
-        sub = matrix[idx] * blocks[:, :, None] * mask[:, :, None]
-        transfer = (sub * inv).sum(axis=1)              # (S, m)
+    def _reduce(self, sub: np.ndarray, inv: np.ndarray) -> np.ndarray:
+        """Per-subplan Figure-7 costs of a ``(..., S, K, m)`` spread.
+
+        ``sub[..., s, k, j]`` is the blocks stream ``k`` of subplan
+        ``s`` moves on disk ``j`` and ``inv`` the matching inverse
+        transfer rates; the reduction runs over the stream axis and
+        then takes the last disk to finish.  Returns ``(..., S)``.
+        """
+        transfer = (sub * inv).sum(axis=-2)             # (..., S, m)
         active = sub > EPS_ZERO
-        k = active.sum(axis=1)                          # (S, m)
-        stream_min = np.where(active, sub, np.inf).min(axis=1,
+        k = active.sum(axis=-2)
+        stream_min = np.where(active, sub, np.inf).min(axis=-2,
                                                        initial=np.inf)
         stream_min = np.where(np.isfinite(stream_min), stream_min, 0.0)
         seek = np.where(k > 1, k * self._seeks * stream_min, 0.0)
-        per_disk = transfer + seek
-        if per_disk.shape[0] == 0:
-            return np.zeros(0)
-        return per_disk.max(axis=1)
+        return (transfer + seek).max(axis=-1)
 
-    def cost_matrix(self, matrix: np.ndarray) -> float:
-        """Weighted workload cost of a raw fraction matrix."""
-        self._metrics.inc("costmodel.full_evaluations")
-        return float(self._subplan_costs(matrix) @ self._weights)
+    def _subplan_costs(self, matrix: np.ndarray,
+                       rows: "np.ndarray | slice" = slice(None),
+                       ) -> np.ndarray:
+        """Figure-7 costs of the subplans ``rows`` under ``matrix``."""
+        # Padding slots hold zero blocks, so no mask multiply is needed.
+        sub = matrix[self._idx[rows]] * self._blocks[rows][:, :, None]
+        return self._reduce(sub, self._inv[rows])
 
     def cost(self, layout: Layout) -> float:
         """Weighted workload cost of a layout."""
-        return self.cost_matrix(self.matrix_of(layout))
+        self._metrics.inc("costmodel.full_evaluations")
+        return float(self._subplan_costs(self.matrix_of(layout))
+                     @ self._weights)
 
-    # -- delta evaluation ----------------------------------------------------------
+    # -- the base layout ------------------------------------------------------
 
     def set_base(self, matrix: np.ndarray) -> float:
         """Fix a base matrix; returns its total cost.
 
-        Subsequent :meth:`cost_with_row` calls evaluate single-row
-        deviations from this base in time proportional to the number of
-        subplans that touch the changed object.
+        Subsequent :meth:`costs_for_rows` / :meth:`best_for_rows` calls
+        evaluate row deviations from this base in time proportional to
+        the number of subplans that touch the moved objects.
         """
         self._metrics.inc("costmodel.base_evaluations")
         self._base_matrix = matrix.copy()
         self._base_costs = self._subplan_costs(matrix)
         self._base_total = float(self._base_costs @ self._weights)
-        # New base: every base-dependent cache entry is stale (the
-        # static slices survive — they never depend on the base).
+        # New base: every entry's base fields are stale (the static
+        # fields survive — they never depend on the base).
         self._base_epoch += 1
         return self._base_total
+
+    def _touched(self, indices) -> np.ndarray:
+        """Subplan mask: which subplans read or write the object rows
+        ``indices``."""
+        # A mask, not np.union1d / np.intersect1d: np.unique imports
+        # numpy.ma (about 1 MB of resident memory) on first use.
+        hit = np.zeros(self.n_subplans, dtype=bool)
+        for i in indices:
+            hit[self._touching[i]] = True
+        return hit
 
     def commit_rows(self, rows: dict[str, np.ndarray]) -> float:
         """Adopt row replacements into the base in O(Δ); return the total.
@@ -389,129 +428,61 @@ class WorkloadCostEvaluator:
         recomputed (each subplan's cost is elementwise-independent of
         the rest), and the total is re-derived as the full dot product
         over the patched per-subplan costs rather than accumulated
-        incrementally.  Base-dependent cache entries for objects whose
-        subplans are disjoint from the committed ones stay valid and
-        are re-tagged to the new epoch; everything else lazily rebuilds
-        on next use.
+        incrementally.  Cache entries whose subplans are disjoint from
+        the committed ones keep their base fields and are re-tagged to
+        the new epoch; everything else lazily rebuilds on next use.
 
         This is what makes an adopted search move cheap: greedy and
         annealing call this after every accepted move instead of
         re-evaluating all ``S`` subplans from scratch.
         """
-        if self._base_matrix is None or self._base_costs is None:
+        if not self._base_epoch:
             raise LayoutError("set_base() must be called before "
                               "commit_rows()")
         self._metrics.inc("costmodel.commit_evaluations")
-        affected: np.ndarray | None = None
-        for name, row in rows.items():
-            i = self._index[name]
-            affected = self._touching[i] if affected is None else \
-                np.union1d(affected, self._touching[i])
+        indices = [self._index[name] for name in rows]
+        for i, row in zip(indices, rows.values()):
             self._base_matrix[i] = row
+        hit = self._touched(indices)
+        affected = np.flatnonzero(hit)
+        if affected.size:
+            self._base_costs[affected] = self._subplan_costs(
+                self._base_matrix, affected)
+            self._base_total = float(self._base_costs @ self._weights)
         previous = self._base_epoch
         self._base_epoch += 1
-        if affected is None or affected.size == 0:
-            # No subplan reads the committed objects: costs, total and
-            # the current epoch's cache entries are untouched — carry
-            # them over.  Entries left from an older epoch stay stale.
-            for cache in (self._slice_base, self._bound_base):
-                for j, entry in cache.items():
-                    if entry[0] == previous:
-                        cache[j] = (self._base_epoch,) + entry[1:]
-            return self._base_total
-        self._base_costs[affected] = self._subplan_costs(
-            self._base_matrix, rows=affected)
-        self._base_total = float(self._base_costs @ self._weights)
-        for cache in (self._slice_base, self._bound_base):
-            for j in list(cache):
-                entry = cache[j]
-                if entry[0] != previous or np.intersect1d(
-                        self._touching[j], affected,
-                        assume_unique=True).size:
-                    del cache[j]
-                else:
-                    cache[j] = (self._base_epoch,) + entry[1:]
+        for entry in self._slices.values():
+            # Entries left from an older epoch stay stale.
+            if entry.epoch == previous and not hit[entry.affected].any():
+                entry.epoch = self._base_epoch
         return self._base_total
 
-    def cost_with_row(self, object_name: str,
-                      row: np.ndarray) -> float:
-        """Cost of (base matrix with one object's row replaced).
+    # -- candidate rows -------------------------------------------------------
 
-        Routed through the batched kernel (:meth:`costs_for_rows`) so
-        repeated single-row probes of the same object — annealing's
-        proposal loop — reuse the epoch-keyed slice cache instead of
-        re-gathering the touched subplans per call.
-        """
-        if self._base_matrix is None or self._base_costs is None:
+    def _slice(self, objects: Sequence[str]) -> _Slice:
+        """The cache entry of an object group, base fields current."""
+        if not self._base_epoch:
             raise LayoutError("set_base() must be called before "
-                              "cost_with_row()")
-        self._metrics.inc("costmodel.delta_evaluations")
-        row = np.asarray(row, dtype=float)
-        return float(self.costs_for_rows(object_name, row[None])[0])
-
-    def cost_with_rows(self, rows: dict[str, np.ndarray]) -> float:
-        """Cost of the base matrix with several rows replaced at once.
-
-        Used when co-location constraints force a group of objects to
-        move together.
-        """
-        if self._base_matrix is None or self._base_costs is None:
-            raise LayoutError("set_base() must be called before "
-                              "cost_with_rows()")
-        self._metrics.inc("costmodel.delta_evaluations")
-        affected: np.ndarray | None = None
-        saved: dict[int, np.ndarray] = {}
-        for name, row in rows.items():
-            i = self._index[name]
-            affected = self._touching[i] if affected is None else \
-                np.union1d(affected, self._touching[i])
-            saved[i] = self._base_matrix[i].copy()
-            self._base_matrix[i] = row
-        if affected is None or affected.size == 0:
-            for i, old_row in saved.items():
-                self._base_matrix[i] = old_row
-            return self._base_total
-        new_costs = self._subplan_costs(self._base_matrix, rows=affected)
-        delta = float((new_costs - self._base_costs[affected])
-                      @ self._weights[affected])
-        for i, old_row in saved.items():
-            self._base_matrix[i] = old_row
-        return self._base_total + delta
-
-    def _slice_parts(self, i: int) -> tuple[tuple, tuple]:
-        """Static and base-dependent slice state for object ``i``.
-
-        The static tuple (gathered subplan arrays) only depends on the
-        packed workload, so it survives every base change; the base
-        tuple (``base_sub`` — the base layout's stream spread — and the
-        affected subplans' share of the base total) is tagged with the
-        epoch it was built at and rebuilt lazily after
-        :meth:`set_base` / :meth:`commit_rows` invalidated it.
-        """
-        affected = self._touching[i]
-        static = self._slice_static.get(i)
-        if static is None:
+                              "evaluating candidate rows")
+        group = tuple(sorted(self._index[name] for name in objects))
+        entry = self._slices.get(group)
+        if entry is None:
+            affected = np.flatnonzero(self._touched(group))
             idx = self._idx[affected]
-            static = (
-                idx,
-                self._blocks[affected][:, :, None]
-                * self._mask[affected][:, :, None],   # (S, K, 1)
-                self._inv[affected],                  # (S, K, m)
-                (idx == i),                           # (S, K)
-                self._weights[affected],
-            )
-            self._slice_static[i] = static
-        based = self._slice_base.get(i)
-        if based is None or based[0] != self._base_epoch:
-            idx, blocks_mask = static[0], static[1]
-            based = (
-                self._base_epoch,
-                self._base_matrix[idx] * blocks_mask,  # (S, K, m)
-                float(self._base_costs[affected]
-                      @ self._weights[affected]),
-            )
-            self._slice_base[i] = based
-        return static, based
+            member = np.zeros(len(self._names), dtype=bool)
+            member[list(group)] = True
+            entry = _Slice(affected, idx,
+                           self._blocks[affected][:, :, None],
+                           self._inv[affected],
+                           member[idx][:, :, None],
+                           self._weights[affected])
+            self._slices[group] = entry
+        if entry.epoch != self._base_epoch:
+            entry.epoch = self._base_epoch
+            entry.affected_base = float(
+                self._base_costs[entry.affected] @ entry.weights)
+            entry.base_sub = entry.other_transfer = None
+        return entry
 
     def _auto_chunk(self, n_affected: int) -> int:
         """Deterministic chunk size for one vectorized pass.
@@ -521,160 +492,141 @@ class WorkloadCostEvaluator:
         ``[_CHUNK_MIN, _CHUNK_MAX]``.  Depends only on array shapes, so
         results and evaluation counts never vary with the machine.
         """
-        k_max = max(1, self._idx.shape[1] if self._idx.ndim == 2 else 1)
-        per_row = max(1, n_affected) * k_max * max(1, len(self._farm)) * 8
+        per_row = max(1, n_affected) * self._idx.shape[1] \
+            * max(1, len(self._farm)) * 8
         return max(_CHUNK_MIN, min(_CHUNK_MAX,
                                    _CHUNK_TARGET_BYTES // per_row))
 
-    def costs_for_rows(self, object_name: str, rows: np.ndarray,
-                       chunk: int | None = None) -> np.ndarray:
-        """Costs of many single-row deviations from the base, batched.
+    def _candidate_rows(self, objects: Sequence[str],
+                        rows: np.ndarray) -> np.ndarray:
+        """Candidate rows as ``(C, m)`` (shared) or ``(C, g, m)``.
 
-        Equivalent to ``[cost_with_row(object_name, r) for r in rows]``
-        but evaluated a chunk of candidates at a time in one vectorized
-        pass — the hot loop of the greedy search.
+        ``(C, g, m)`` rows give member ``objects[i]`` the row
+        ``rows[:, i]``; when every member's row is the same they collapse
+        to the shared form, so both spellings of one move take the same
+        kernel path and cost bit-identically.
+        """
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim == 3:
+            if rows.shape[1] != len(objects):
+                raise LayoutError(
+                    f"per-member rows need one row per object: got "
+                    f"{rows.shape[1]} rows for {len(objects)} objects")
+            if len(objects) == 1 or (rows == rows[:, :1]).all():
+                return rows[:, 0]
+        return rows
+
+    def _members(self, entry: _Slice, objects: Sequence[str],
+                 ) -> np.ndarray:
+        """``(S, K)`` position in ``objects`` of each gathered stream.
+
+        Streams of non-members map to 0; ``is_target`` masks them.
+        """
+        position = np.zeros(len(self._names), dtype=np.intp)
+        position[[self._index[name] for name in objects]] = \
+            np.arange(len(objects))
+        return position[entry.idx]
+
+    def costs_for_rows(self, objects: Sequence[str],
+                       rows: np.ndarray) -> np.ndarray:
+        """Costs of many candidate rows for one object group, batched.
+
+        The members of ``objects`` (a singleton or a co-location group)
+        take the candidate rows; the rest of the layout is the base.
+        Candidates are evaluated a chunk at a time in one vectorized
+        pass over the subplans the group touches, the chunk auto-sized
+        so the working set stays near a fixed byte budget.
 
         Args:
-            object_name: The object whose fraction row varies.
-            rows: Candidate rows, shape ``(C, m)``.
-            chunk: Candidates per vectorized pass (bounds memory);
-                ``None`` auto-sizes from the affected-subplan count so
-                the working set stays near a fixed byte budget.
+            objects: Names of the objects that move together.
+            rows: Candidate rows, shape ``(C, m)`` when every member
+                takes the same row, or ``(C, len(objects), m)`` with
+                one row per member, in ``objects`` order.
 
         Returns:
             Array of ``C`` total workload costs.
         """
-        if self._base_matrix is None or self._base_costs is None:
-            raise LayoutError("set_base() must be called before "
-                              "costs_for_rows()")
+        entry = self._slice(objects)
+        if entry.base_sub is None:
+            entry.base_sub = self._base_matrix[entry.idx] * entry.blocks
         self._metrics.inc("costmodel.batch_evaluations")
         self._metrics.inc("costmodel.batch_rows", len(rows))
-        i = self._index[object_name]
-        affected = self._touching[i]
-        rows = np.asarray(rows, dtype=float)
-        if affected.size == 0:
-            return np.full(len(rows), self._base_total)
-        static, based = self._slice_parts(i)
-        idx, blocks_mask, inv, is_target, weights = static
-        _, base_sub, affected_base = based
-        if chunk is None:
-            chunk = self._auto_chunk(affected.size)
+        rows = self._candidate_rows(objects, rows)
+        members = self._members(entry, objects) if rows.ndim == 3 \
+            else None
+        chunk = self._auto_chunk(entry.affected.size)
         out = np.empty(len(rows))
         for start in range(0, len(rows), chunk):
-            batch = rows[start:start + chunk]                # (C, m)
-            # (C, S, K, m): base streams, with the target object's
-            # streams re-spread per candidate row.
-            sub = np.where(is_target[None, :, :, None],
-                           batch[:, None, None, :] * blocks_mask[None],
-                           base_sub[None])
-            transfer = (sub * inv[None]).sum(axis=2)         # (C, S, m)
-            active = sub > EPS_ZERO
-            k = active.sum(axis=2)
-            stream_min = np.where(active, sub, np.inf).min(
-                axis=2, initial=np.inf)
-            stream_min = np.where(np.isfinite(stream_min), stream_min,
-                                  0.0)
-            seek = np.where(k > 1, k * self._seeks * stream_min, 0.0)
-            per_disk = transfer + seek
-            costs = per_disk.max(axis=2) if per_disk.shape[1] else \
-                np.zeros((len(batch), 0))
+            batch = rows[start:start + chunk]          # (C, m) / (C, g, m)
+            # (C, S, K, m): base streams, with the group's streams
+            # re-spread per candidate row.
+            spread = batch[:, members] if members is not None \
+                else batch[:, None, None, :]
+            sub = np.where(entry.is_target[None],
+                           spread * entry.blocks[None],
+                           entry.base_sub[None])
             out[start:start + chunk] = \
-                self._base_total - affected_base + costs @ weights
+                self._base_total - entry.affected_base \
+                + self._reduce(sub, entry.inv) @ entry.weights
         return out
 
-    # -- transfer-only lower bound ----------------------------------------------
+    def _bounds(self, objects: Sequence[str],
+                rows: np.ndarray) -> np.ndarray:
+        """Transfer-only lower bounds on :meth:`costs_for_rows`.
 
-    def lower_bound_matrix(self, matrix: np.ndarray) -> float:
-        """Transfer-only lower bound on :meth:`cost_matrix`.
-
-        Drops the Figure-7 seek term: for every subplan the bound is
-        ``max_j sum_i x_ij * B_i / T_j``.  Since the seek term is
-        non-negative, this never exceeds the true cost — a provable
-        underestimate usable for branch-and-bound style pruning.
-        """
-        self._metrics.inc("costmodel.bound_evaluations")
-        sub = matrix[self._idx] * self._blocks[:, :, None] \
-            * self._mask[:, :, None]
-        transfer = (sub * self._inv).sum(axis=1)        # (S, m)
-        if transfer.shape[0] == 0:
-            return 0.0
-        return float(transfer.max(axis=1) @ self._weights)
-
-    def bounds_for_rows(self, object_name: str,
-                        rows: np.ndarray) -> np.ndarray:
-        """Lower bounds on :meth:`costs_for_rows`, one per candidate.
-
-        For the subplans touching ``object_name`` only the seek-free
-        transfer term is charged (a per-subplan underestimate); every
-        untouched subplan keeps its exact base cost.  The result
-        therefore never exceeds the true candidate cost, and costs
+        For the subplans the group touches only the seek-free transfer
+        term ``max_j sum_i x_ij * B_i / T_j`` is charged (the seek term
+        is non-negative, so this underestimates each subplan); every
+        untouched subplan keeps its exact base cost.  The result never
+        exceeds the true candidate cost, and costs
         ``O(C * S_affected * m)`` — no per-stream axis and no seek
         bookkeeping, an order of magnitude cheaper than full evaluation.
         """
-        if self._base_matrix is None or self._base_costs is None:
-            raise LayoutError("set_base() must be called before "
-                              "bounds_for_rows()")
-        rows = np.asarray(rows, dtype=float)
+        entry = self._slice(objects)
+        rows = self._candidate_rows(objects, rows)
         self._metrics.inc("costmodel.bound_evaluations", len(rows))
-        i = self._index[object_name]
-        affected = self._touching[i]
-        if affected.size == 0:
-            return np.full(len(rows), self._base_total)
-        static = self._bound_static.get(i)
-        if static is None:
-            idx = self._idx[affected]
-            blocks_mask = self._blocks[affected][:, :, None] \
-                * self._mask[affected][:, :, None]
-            inv = self._inv[affected]
-            is_target = (idx == i)[:, :, None]           # (S, K, 1)
-            # The candidate-scaled half of the transfer split; the
-            # base-dependent half lives in the epoch-tagged entry.
-            target_coeff = (np.where(is_target, blocks_mask, 0.0)
-                            * inv).sum(axis=1)           # (S, m)
-            static = (target_coeff, self._weights[affected],
-                      idx, blocks_mask, inv, is_target)
-            self._bound_static[i] = static
-        target_coeff, weights, idx, blocks_mask, inv, is_target = static
-        based = self._bound_base.get(i)
-        if based is None or based[0] != self._base_epoch:
-            base_sub = self._base_matrix[idx] * blocks_mask
-            # Transfer per disk split into the target object's streams
-            # (scales with the candidate row) and everything else
+        if entry.other_transfer is None:
+            base_sub = entry.base_sub if entry.base_sub is not None \
+                else self._base_matrix[entry.idx] * entry.blocks
+            # Transfer per disk of every stream the group does not own
             # (constant across candidates).
-            other_transfer = (np.where(is_target, 0.0, base_sub)
-                              * inv).sum(axis=1)         # (S, m)
-            based = (
-                self._base_epoch,
-                other_transfer,
-                float(self._base_costs[affected]
-                      @ self._weights[affected]),
-            )
-            self._bound_base[i] = based
-        _, other_transfer, affected_base = based
+            entry.other_transfer = (
+                np.where(entry.is_target, 0.0, base_sub)
+                * entry.inv).sum(axis=1)                 # (S, m)
         # (C, S, m): candidate transfer time per subplan and disk.
-        transfer = other_transfer[None] \
-            + rows[:, None, :] * target_coeff[None]
-        bound = transfer.max(axis=2) @ weights            # (C,)
-        return self._base_total - affected_base + bound
+        if rows.ndim == 3:
+            # target_coeff split by member: (g, S, m).
+            owner = entry.is_target[..., 0, None] & (
+                self._members(entry, objects)[..., None]
+                == np.arange(len(objects)))              # (S, K, g)
+            coeff = np.einsum("skg,skm->gsm", owner,
+                              entry.blocks * entry.inv)
+            target = np.einsum("cgm,gsm->csm", rows, coeff)
+        else:
+            target = rows[:, None, :] * entry.target_coeff[None]
+        transfer = entry.other_transfer[None] + target
+        return self._base_total - entry.affected_base \
+            + transfer.max(axis=2) @ entry.weights
 
-    # -- fused prune + evaluate --------------------------------------------------
-
-    def best_for_rows(self, object_name: str, rows: np.ndarray,
+    def best_for_rows(self, objects: Sequence[str], rows: np.ndarray,
                       incumbent: float, prune: bool = True,
                       ) -> tuple[float, int, int]:
-        """Fused prune+evaluate: the best single-row deviation, one call.
+        """Fused prune+evaluate: the best candidate row, one call.
 
         Computes transfer-only lower bounds for all ``C`` candidates in
         one vectorized pass, fully evaluates only the survivors (bound
         below the incumbent), and replays the search's sequential
-        epsilon acceptance over the survivor costs — so the selected
-        candidate, the winning cost, and the pruned count are
-        bit-identical to the unfused ``bounds_for_rows`` →
-        ``costs_for_rows`` → Python-loop composition it replaces.
+        epsilon acceptance over the survivor costs.  A pruned candidate
+        could never be accepted (its cost is at least its bound, which
+        is within ``EPS_COST`` of the incumbent or above it), so the
+        selected candidate and the winning cost are identical with
+        ``prune`` on or off.
 
         Args:
-            object_name: The object whose fraction row varies.
-            rows: Candidate rows, shape ``(C, m)``.
+            objects: Names of the objects that move together (a
+                singleton or a co-location group).
+            rows: Candidate rows, ``(C, m)`` or per-member
+                ``(C, len(objects), m)`` as for :meth:`costs_for_rows`.
             incumbent: The cost to beat (the search's running best).
             prune: Disable to evaluate every candidate (results are
                 identical; only the evaluation count changes).
@@ -685,12 +637,12 @@ class WorkloadCostEvaluator:
             ``-1`` when nothing beats the incumbent by ``EPS_COST`` —
             in which case ``best_cost`` is the incumbent, unchanged.
         """
-        rows = np.asarray(rows, dtype=float)
+        rows = self._candidate_rows(objects, rows)
         self._metrics.inc("costmodel.fused_evaluations")
         if len(rows) == 0:
             return float(incumbent), -1, 0
         if prune:
-            bounds = self.bounds_for_rows(object_name, rows)
+            bounds = self._bounds(objects, rows)
             keep = np.nonzero(bounds < incumbent - EPS_COST)[0]
             pruned = len(rows) - int(keep.size)
         else:
@@ -698,7 +650,7 @@ class WorkloadCostEvaluator:
             pruned = 0
         if keep.size == 0:
             return float(incumbent), -1, pruned
-        costs = self.costs_for_rows(object_name, rows[keep])
+        costs = self.costs_for_rows(objects, rows[keep])
         best_cost = float(incumbent)
         best_index = -1
         # Sequential epsilon acceptance, not argmin: each later
@@ -719,30 +671,3 @@ class WorkloadCostEvaluator:
                 best_cost = float(candidate_cost)
                 best_index = int(keep[position])
         return best_cost, best_index, pruned
-
-    # -- shared-memory plumbing --------------------------------------------------
-
-    def to_shared(self) -> "object":
-        """Publish the packed arrays in a shared-memory segment.
-
-        Returns a :class:`repro.parallel.shared.SharedEvaluatorState`
-        (a context manager) whose picklable :attr:`spec` lets worker
-        processes rebuild this evaluator with :meth:`from_shared`
-        without re-pickling the MB-scale ``(S, K, m)`` arrays.  The
-        caller owns the segment and must ``close()`` it (or use a
-        ``with`` block).
-        """
-        from repro.parallel.shared import share_evaluator
-        return share_evaluator(self)
-
-    @classmethod
-    def from_shared(cls, spec: "object",
-                    metrics=None) -> "WorkloadCostEvaluator":
-        """Rebuild an evaluator from a shared-memory spec (in a worker).
-
-        The packed arrays are zero-copy read-only views into the shared
-        segment; per-evaluator mutable state (base matrix, caches) stays
-        private to the process.
-        """
-        from repro.parallel.shared import attach_evaluator
-        return attach_evaluator(spec, metrics=metrics)

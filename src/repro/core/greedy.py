@@ -25,7 +25,7 @@ from repro.core.constraints import ConstraintSet
 from repro.core.costmodel import WorkloadCostEvaluator
 from repro.core.layout import Layout, stripe_fractions
 from repro.core.partitioning import PartitionStats, partition_access_graph
-from repro.core.tolerance import EPS_CAPACITY, EPS_COST, EPS_ZERO
+from repro.core.tolerance import EPS_CAPACITY, EPS_ZERO
 from repro.errors import LayoutError
 from repro.obs import NULL_METRICS, NULL_RECORDER, NULL_TRACER
 from repro.storage.disk import DiskFarm
@@ -464,31 +464,24 @@ class TsGreedySearch:
                                           capacity)]
                 if not feasible:
                     continue
-                if len(group) == 1:
-                    # Single-object moves: one fused prune+evaluate
-                    # call — bounds for every candidate, full costs
-                    # for the survivors, selection inside the kernel.
-                    rows = np.array([change[name]
-                                     for change in feasible])
-                    candidate_cost, index, pruned = \
-                        self._evaluator.best_for_rows(
-                            name, rows, best_cost, prune=self._prune)
-                    pruned_total += pruned
-                    evaluated = len(feasible) - pruned
-                    result.evaluations += evaluated
-                    iteration_evals += evaluated
-                    if index >= 0:
-                        best_cost = candidate_cost
-                        best_change = feasible[index]
-                else:
-                    result.evaluations += len(feasible)
-                    iteration_evals += len(feasible)
-                    for change in feasible:
-                        candidate_cost = self._evaluator.cost_with_rows(
-                            dict(change))
-                        if candidate_cost < best_cost - EPS_COST:
-                            best_cost = candidate_cost
-                            best_change = change
+                # One fused prune+evaluate call per group — bounds for
+                # every candidate, full costs for the survivors,
+                # selection inside the kernel.  Rows go per member: a
+                # projected incremental move blends each member toward
+                # its own current row, so members' rows can differ.
+                rows = np.array([change[member] for change in feasible
+                                 for member in group]).reshape(
+                    len(feasible), len(group), -1)
+                candidate_cost, index, pruned = \
+                    self._evaluator.best_for_rows(
+                        group, rows, best_cost, prune=self._prune)
+                pruned_total += pruned
+                evaluated = len(feasible) - pruned
+                result.evaluations += evaluated
+                iteration_evals += evaluated
+                if index >= 0:
+                    best_cost = candidate_cost
+                    best_change = feasible[index]
             if best_change is None:
                 result.steps.append(GreedyStep(
                     iteration=result.iterations,
@@ -554,7 +547,7 @@ class TsGreedySearch:
                 row = np.array(stripe_fractions(disks_now + combo,
                                                 self._farm))
                 yield {name: row for name in group}
-        if getattr(self, "_allow_removals", False):
+        if self._allow_removals:
             for size in range(1, min(self._k, len(disks_now) - 1) + 1):
                 for combo in itertools.combinations(disks_now, size):
                     kept = tuple(j for j in disks_now

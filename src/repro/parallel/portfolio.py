@@ -52,7 +52,7 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -523,8 +523,16 @@ class PortfolioSearch:
                 for index in range(len(self._specs)):
                     self._recorder.emit("trajectory-start", index=index,
                                         label=self._label(index))
-                    futures.append(
-                        executor.submit(run_trajectory_task, index))
+                    try:
+                        future = executor.submit(run_trajectory_task,
+                                                 index)
+                    except BrokenProcessPool as error:
+                        # A worker died (e.g. in its initializer)
+                        # before every task was queued: the rest fail
+                        # as crashes too, for the serial fallback.
+                        future = Future()
+                        future.set_exception(error)
+                    futures.append(future)
                 hung = self._drain(futures, deadline, payloads,
                                    failures, errors)
             except BaseException:

@@ -42,12 +42,6 @@ from repro.storage.disk import DiskFarm
 
 logger = logging.getLogger("repro.parallel.shared")
 
-#: Evaluator attributes published in the shared segment, in layout
-#: order.  Mirrors ``repro.core.costmodel.PACKED_ARRAYS`` (asserted at
-#: share time) without importing core at module load.
-_SHARED_ARRAYS = ("_idx", "_blocks", "_mask", "_inv", "_weights",
-                  "_seeks")
-
 #: Byte alignment of each array inside the segment.
 _ALIGN = 64
 
@@ -123,7 +117,6 @@ class SharedEvaluatorSpec:
     arrays: tuple[SharedArraySpec, ...]
     names: tuple[str, ...]
     farm: DiskFarm
-    n_subplans: int
     n_compressed_from: int
 
 
@@ -181,17 +174,11 @@ def share_evaluator(evaluator) -> SharedEvaluatorState:
         A :class:`SharedEvaluatorState`; the caller owns (and must
         close) it.
     """
-    # Deferred import (see attach_evaluator): catch drift between the
-    # local layout list and the evaluator's own packing declaration.
+    # Deferred import: see attach_evaluator.
     from repro.core.costmodel import PACKED_ARRAYS
-    if tuple(PACKED_ARRAYS) != _SHARED_ARRAYS:
-        raise SharedStateError(
-            f"shared-array layout drifted: evaluator packs "
-            f"{PACKED_ARRAYS}, shared publisher expects "
-            f"{_SHARED_ARRAYS}")
     specs: list[SharedArraySpec] = []
     offset = 0
-    for attr in _SHARED_ARRAYS:
+    for attr in PACKED_ARRAYS:
         array = np.ascontiguousarray(getattr(evaluator, attr))
         offset = _aligned(offset)
         specs.append(SharedArraySpec(attr=attr, dtype=array.dtype.str,
@@ -209,7 +196,6 @@ def share_evaluator(evaluator) -> SharedEvaluatorState:
             shm_name=shm.name, arrays=tuple(specs),
             names=tuple(evaluator.object_names),
             farm=evaluator.farm,
-            n_subplans=evaluator.n_subplans,
             n_compressed_from=evaluator.n_compressed_from)
     except (AttributeError, TypeError, ValueError, OSError) as error:
         logger.exception(
@@ -250,7 +236,6 @@ def attach_evaluator(spec: SharedEvaluatorSpec, metrics=None):
     # package, so the dependency points parallel -> core only at call
     # time.
     from repro.core.costmodel import WorkloadCostEvaluator
-    from repro.obs import NULL_METRICS
 
     fire_shm_attach(spec.shm_name)
     try:
@@ -261,22 +246,13 @@ def attach_evaluator(spec: SharedEvaluatorSpec, metrics=None):
         raise SharedStateError(
             f"shared evaluator segment {spec.shm_name!r} is gone "
             "(creator closed it before workers attached?)") from error
-    evaluator = WorkloadCostEvaluator.__new__(WorkloadCostEvaluator)
-    evaluator._shm = shm  # pin the mapping
-    evaluator._metrics = metrics if metrics is not None else NULL_METRICS
-    evaluator._farm = spec.farm
-    evaluator._names = list(spec.names)
-    evaluator._index = {name: i for i, name in enumerate(spec.names)}
+    packed = {}
     for array_spec in spec.arrays:
         view = np.ndarray(array_spec.shape, dtype=array_spec.dtype,
                           buffer=shm.buf, offset=array_spec.offset)
         view.flags.writeable = False
-        setattr(evaluator, array_spec.attr, view)
-    evaluator._n_subplans = spec.n_subplans
-    evaluator.n_compressed_from = spec.n_compressed_from
-    evaluator._touching = [
-        np.nonzero(((evaluator._idx == i) & evaluator._mask)
-                   .any(axis=1))[0]
-        for i in range(len(spec.names))]
-    evaluator._init_mutable_state()
+        packed[array_spec.attr] = view
+    evaluator = WorkloadCostEvaluator.__new__(WorkloadCostEvaluator)
+    evaluator._adopt(spec.farm, spec.names, packed,
+                     spec.n_compressed_from, metrics=metrics, pin=shm)
     return evaluator

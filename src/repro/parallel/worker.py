@@ -27,6 +27,7 @@ from repro.core.greedy import SearchResult, TsGreedySearch
 from repro.core.layout import Layout
 from repro.errors import LayoutError
 from repro.obs import EventRecorder, MetricsRegistry, Tracer
+from repro.parallel.shared import attach_evaluator
 from repro.resilience import faults as fault_injection
 from repro.resilience.faults import FaultPlan
 from repro.storage.disk import DiskFarm
@@ -131,11 +132,9 @@ def init_worker(shared_spec, farm: DiskFarm, sizes: dict[str, int],
     here instead of once per task.  The fault plan (if any) is
     installed *before* the attach so ``fail_shm_attach`` can fire.
     """
-    from repro.core.costmodel import WorkloadCostEvaluator
-
     global _WORKER_CONTEXT
     fault_injection.install(faults)
-    evaluator = WorkloadCostEvaluator.from_shared(shared_spec)
+    evaluator = attach_evaluator(shared_spec)
     _WORKER_CONTEXT = TrajectoryContext(
         evaluator=evaluator, farm=farm, sizes=sizes,
         constraints=constraints, graph=graph,

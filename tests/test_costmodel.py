@@ -168,8 +168,8 @@ class TestEvaluatorAgainstReference:
         evaluator.set_base(evaluator.matrix_of(base))
         candidate = base.with_fractions(
             "big", stripe_fractions([0, 1, 2], farm8))
-        delta_cost = evaluator.cost_with_row(
-            "big", list(candidate.fractions_of("big")))
+        [delta_cost] = evaluator.costs_for_rows(
+            ("big",), [candidate.fractions_of("big")])
         assert delta_cost == pytest.approx(evaluator.cost(candidate))
 
     def test_delta_does_not_mutate_base(self, mini_db, join_workload,
@@ -179,10 +179,11 @@ class TestEvaluatorAgainstReference:
         evaluator = WorkloadCostEvaluator(analyzed, farm8, sorted(sizes))
         base = full_striping(sizes, farm8)
         base_cost = evaluator.set_base(evaluator.matrix_of(base))
-        evaluator.cost_with_row("big",
-                                list(stripe_fractions([0], farm8)))
+        evaluator.costs_for_rows(("big",), [stripe_fractions([0], farm8)])
         # Re-evaluating the unchanged base gives the same cost.
-        assert evaluator.cost_with_rows({}) == pytest.approx(base_cost)
+        assert evaluator.costs_for_rows(
+            ("big",), [base.fractions_of("big")])[0] \
+            == pytest.approx(base_cost)
         assert evaluator.cost(base) == pytest.approx(base_cost)
 
     def test_delta_requires_set_base(self, mini_db, join_workload,
@@ -191,8 +192,8 @@ class TestEvaluatorAgainstReference:
         evaluator = WorkloadCostEvaluator(analyzed, farm8,
                                           sorted(mini_db.object_sizes()))
         with pytest.raises(LayoutError):
-            evaluator.cost_with_row("big",
-                                    list(stripe_fractions([0], farm8)))
+            evaluator.costs_for_rows(("big",),
+                                     [stripe_fractions([0], farm8)])
 
     def test_untouched_object_delta_is_free(self, mini_db, farm8):
         workload = Workload()
@@ -202,8 +203,8 @@ class TestEvaluatorAgainstReference:
         evaluator = WorkloadCostEvaluator(analyzed, farm8, sorted(sizes))
         base_cost = evaluator.set_base(
             evaluator.matrix_of(full_striping(sizes, farm8)))
-        moved = evaluator.cost_with_row(
-            "small", list(stripe_fractions([0], farm8)))
+        [moved] = evaluator.costs_for_rows(
+            ("small",), [stripe_fractions([0], farm8)])
         assert moved == base_cost
 
     def test_batched_costs_match_scalar_deltas(self, mini_db,
@@ -217,8 +218,9 @@ class TestEvaluatorAgainstReference:
         rows = np.array(
             [stripe_fractions([j], farm8) for j in range(8)]
             + [stripe_fractions([0, j], farm8) for j in range(1, 8)])
-        batched = evaluator.costs_for_rows("big", rows, chunk=4)
-        scalar = [evaluator.cost_with_row("big", row) for row in rows]
+        batched = evaluator.costs_for_rows(("big",), rows)
+        scalar = [evaluator.costs_for_rows(("big",), row[None])[0]
+                  for row in rows]
         assert batched == pytest.approx(scalar)
 
     def test_batched_costs_untouched_object(self, mini_db, farm8):
@@ -232,7 +234,7 @@ class TestEvaluatorAgainstReference:
             full_striping(sizes, farm8)))
         rows = np.array([stripe_fractions([0], farm8),
                          stripe_fractions([1, 2], farm8)])
-        assert list(evaluator.costs_for_rows("small", rows)) == \
+        assert list(evaluator.costs_for_rows(("small",), rows)) == \
             pytest.approx([base_cost, base_cost])
 
     def test_batched_costs_require_set_base(self, mini_db,
@@ -243,7 +245,7 @@ class TestEvaluatorAgainstReference:
                                           sorted(mini_db.object_sizes()))
         with pytest.raises(LayoutError):
             evaluator.costs_for_rows(
-                "big", np.array([stripe_fractions([0], farm8)]))
+                ("big",), np.array([stripe_fractions([0], farm8)]))
 
     def test_compression_merges_identical_statements(self, mini_db,
                                                      farm8):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import costmodel
 from repro.core.costmodel import (
     _CHUNK_MAX,
     _CHUNK_MIN,
@@ -104,8 +105,9 @@ class TestCommitRows:
             # the same answers a cold evaluator computes.
             probe_name = names[int(rng.integers(0, len(names)))]
             probe = _random_row(rng, farm8)
-            assert incremental.cost_with_row(probe_name, probe) \
-                == fresh.cost_with_row(probe_name, probe)
+            assert np.array_equal(
+                incremental.costs_for_rows((probe_name,), probe[None]),
+                fresh.costs_for_rows((probe_name,), probe[None]))
 
     @_PROPERTY
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -130,7 +132,7 @@ class TestCommitRows:
             if action == 0:
                 # Warm the per-object caches at the current epoch.
                 name = names[int(rng.integers(0, len(names)))]
-                evaluator.costs_for_rows(name,
+                evaluator.costs_for_rows((name,),
                                          _random_rows(rng, farm8, 3))
             elif action == 1:
                 i = int(rng.integers(0, len(names)))
@@ -148,8 +150,8 @@ class TestCommitRows:
         for name in names:
             probes = _random_rows(rng, farm8, 4)
             assert np.array_equal(
-                evaluator.costs_for_rows(name, probes),
-                cold.costs_for_rows(name, probes))
+                evaluator.costs_for_rows((name,), probes),
+                cold.costs_for_rows((name,), probes))
 
     def test_commit_before_set_base_raises(self, case):
         evaluator, _, _, farm = case
@@ -162,9 +164,10 @@ class TestCommitRows:
         base_cost = evaluator.set_base(
             evaluator.matrix_of(full_striping(sizes, farm)))
         probe = np.array(stripe_fractions([0, 1], farm))
-        before = evaluator.cost_with_row("big", probe)
+        before = evaluator.costs_for_rows(("big",), probe[None])
         assert evaluator.commit_rows({}) == base_cost
-        assert evaluator.cost_with_row("big", probe) == before
+        assert np.array_equal(
+            evaluator.costs_for_rows(("big",), probe[None]), before)
 
     def test_commit_counts_metric(self, case):
         evaluator, _, sizes, farm = case
@@ -184,7 +187,7 @@ class TestBestForRows:
         """bounds -> prune -> costs -> sequential epsilon acceptance,
         exactly as the pre-fusion greedy loop composed them."""
         if prune:
-            bounds = evaluator.bounds_for_rows(name, rows)
+            bounds = evaluator._bounds((name,), rows)
             keep = np.nonzero(bounds < incumbent - EPS_COST)[0]
             pruned = len(rows) - int(keep.size)
         else:
@@ -192,7 +195,7 @@ class TestBestForRows:
             pruned = 0
         best_cost, best_index = float(incumbent), -1
         if keep.size:
-            costs = evaluator.costs_for_rows(name, rows[keep])
+            costs = evaluator.costs_for_rows((name,), rows[keep])
             for position, cost in enumerate(costs):
                 if cost < best_cost - EPS_COST:
                     best_cost = float(cost)
@@ -217,7 +220,7 @@ class TestBestForRows:
         # all-pruned, some-pruned and none-pruned regimes all occur.
         incumbent = float(base_cost * rng.uniform(0.2, 1.5))
         for prune in (True, False):
-            assert evaluator.best_for_rows(name, rows, incumbent,
+            assert evaluator.best_for_rows((name,), rows, incumbent,
                                            prune=prune) \
                 == self._naive(evaluator, name, rows, incumbent,
                                prune=prune)
@@ -231,7 +234,7 @@ class TestBestForRows:
         # An impossible incumbent: every bound exceeds it, every
         # candidate is pruned, and the incumbent comes back intact.
         best_cost, best_index, pruned = \
-            evaluator.best_for_rows("big", rows, 0.0)
+            evaluator.best_for_rows(("big",), rows, 0.0)
         assert (best_cost, best_index) == (0.0, -1)
         assert pruned == len(rows)
 
@@ -240,7 +243,7 @@ class TestBestForRows:
         evaluator.set_base(
             evaluator.matrix_of(full_striping(sizes, farm)))
         assert evaluator.best_for_rows(
-            "big", np.empty((0, len(farm))), 42.0) == (42.0, -1, 0)
+            ("big",), np.empty((0, len(farm))), 42.0) == (42.0, -1, 0)
 
     def test_prune_flag_changes_counts_not_results(self, case):
         evaluator, _, sizes, farm = case
@@ -249,9 +252,9 @@ class TestBestForRows:
         rows = np.array([stripe_fractions(subset, farm)
                          for subset in ([0], [1], [0, 1], [0, 1, 2],
                                         list(range(len(farm))))])
-        pruned_run = evaluator.best_for_rows("big", rows, incumbent,
+        pruned_run = evaluator.best_for_rows(("big",), rows, incumbent,
                                              prune=True)
-        full_run = evaluator.best_for_rows("big", rows, incumbent,
+        full_run = evaluator.best_for_rows(("big",), rows, incumbent,
                                            prune=False)
         assert pruned_run[:2] == full_run[:2]
         assert full_run[2] == 0
@@ -263,22 +266,25 @@ class TestBestForRows:
         incumbent = evaluator.set_base(
             evaluator.matrix_of(full_striping(sizes, farm)))
         rows = np.array([stripe_fractions([0], farm)])
-        evaluator.best_for_rows("big", rows, incumbent)
+        evaluator.best_for_rows(("big",), rows, incumbent)
         assert metrics.value("costmodel.fused_evaluations") == 1.0
 
 
 class TestChunkAutoSizing:
-    def test_chunk_size_never_changes_results(self, case):
+    def test_chunk_size_never_changes_results(self, case, monkeypatch):
         evaluator, _, sizes, farm = case
         evaluator.set_base(
             evaluator.matrix_of(full_striping(sizes, farm)))
         rng = np.random.default_rng(7)
         rows = _random_rows(rng, farm, 100)
-        auto = evaluator.costs_for_rows("big", rows)
+        auto = evaluator.costs_for_rows(("big",), rows)
         for chunk in (1, 16, 33, 1024):
+            # Pinning both clamps forces the auto-sizer to ``chunk``.
+            monkeypatch.setattr(costmodel, "_CHUNK_MIN", chunk)
+            monkeypatch.setattr(costmodel, "_CHUNK_MAX", chunk)
+            assert evaluator._auto_chunk(1) == chunk
             assert np.array_equal(
-                auto, evaluator.costs_for_rows("big", rows,
-                                               chunk=chunk))
+                auto, evaluator.costs_for_rows(("big",), rows))
 
     def test_auto_chunk_is_clamped_and_shape_only(self, case):
         evaluator, _, _, _ = case
@@ -296,7 +302,6 @@ class TestClone:
         twin = evaluator.clone()
         for attr in PACKED_ARRAYS:
             assert getattr(twin, attr) is getattr(evaluator, attr)
-        assert twin._touching is evaluator._touching
 
     def test_clone_costs_agree(self, case):
         evaluator, _, sizes, farm = case
@@ -311,8 +316,8 @@ class TestClone:
         twin = evaluator.clone()
         # The clone starts without a base of its own...
         with pytest.raises(LayoutError, match="set_base"):
-            twin.cost_with_row("big",
-                               np.array(stripe_fractions([0], farm)))
+            twin.costs_for_rows(("big",),
+                                np.array([stripe_fractions([0], farm)]))
         # ...and committing into it never leaks into the parent.
         twin.set_base(base.copy())
         twin.commit_rows(
@@ -321,8 +326,9 @@ class TestClone:
         assert evaluator.commit_rows({}) == base_cost
         fresh = evaluator.clone()
         fresh.set_base(base.copy())
-        assert evaluator.cost_with_row("big", probe) \
-            == fresh.cost_with_row("big", probe)
+        assert np.array_equal(
+            evaluator.costs_for_rows(("big",), probe[None]),
+            fresh.costs_for_rows(("big",), probe[None]))
 
 
 class TestThreadBackend:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.costmodel import WorkloadCostEvaluator
+from repro.core.costmodel import CostModel, WorkloadCostEvaluator
 from repro.core.fullstripe import full_striping
 from repro.core.greedy import TsGreedySearch
 from repro.core.layout import stripe_fractions
@@ -78,69 +78,94 @@ class TestPruningParity:
         assert pruned.cost == plain.cost
 
 
+def _base_bounds(evaluator, layout):
+    """Per-object bounds of the base layout itself: each object's own
+    row as the single candidate, every other row at the base."""
+    matrix = evaluator.matrix_of(layout)
+    evaluator.set_base(matrix)
+    return [evaluator._bounds((name,), matrix[i][None])[0]
+            for i, name in enumerate(evaluator.object_names)]
+
+
+def _reference_bound(analyzed, layout, farm, moved):
+    """The bound from its definition: transfer-only cost for every
+    subplan that reads or writes ``moved``, the exact Figure-7 cost
+    (the reference model) for every other subplan."""
+    model = CostModel(farm)
+    total = 0.0
+    for statement in analyzed:
+        for subplan in statement.subplans:
+            streams = [
+                (name, write, blocks) for (name, write), blocks
+                in subplan.blocks_by_object(include_temp=False).items()
+                if blocks > 0]
+            if moved not in {name for name, _, _ in streams}:
+                total += statement.weight \
+                    * model.subplan_cost(subplan, layout)
+                continue
+            total += statement.weight * max(
+                sum(layout.fraction(name, j) * blocks
+                    / disk.transfer_blocks_s(write=write)
+                    for name, write, blocks in streams)
+                for j, disk in enumerate(farm))
+    return total
+
+
 class TestLowerBoundSoundness:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[
                   HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_bound_never_exceeds_cost(self, case, seed):
-        # The fixture is read-only here (the bound path never mutates
-        # evaluator state), so reuse across examples is safe.
+        # Each example resets the base before reading any bound, so
+        # reusing the fixture across examples is safe.
         evaluator, _, sizes, farm = case
         layout = random_layout(sizes, farm, seed)
-        matrix = np.array([layout.fractions_of(name)
-                           for name in evaluator.object_names])
-        bound = evaluator.lower_bound_matrix(matrix)
         cost = evaluator.cost(layout)
-        assert bound <= cost + 1e-9
+        for bound in _base_bounds(evaluator, layout):
+            assert bound <= cost + 1e-9
 
     def test_bound_tight_when_no_colocation(self, case):
         """With one object per disk set the seek term vanishes and the
         bound equals the true cost for single-object subplans."""
         evaluator, _, sizes, farm = case
         layout = full_striping(sizes, farm)
-        matrix = np.array([layout.fractions_of(name)
-                           for name in evaluator.object_names])
-        bound = evaluator.lower_bound_matrix(matrix)
-        assert bound <= evaluator.cost(layout) + 1e-9
-        assert bound > 0.0
+        cost = evaluator.cost(layout)
+        for bound in _base_bounds(evaluator, layout):
+            assert 0.0 < bound <= cost + 1e-9
 
-    def test_bounds_for_rows_match_matrix_bound(self, case):
+    def test_bounds_for_rows_match_matrix_bound(self, case, mini_db,
+                                                join_workload):
         evaluator, _, sizes, farm = case
+        analyzed = analyze_workload(join_workload, mini_db)
         base = full_striping(sizes, farm)
-        matrix = np.array([base.fractions_of(name)
-                           for name in evaluator.object_names])
-        evaluator.set_base(matrix)
+        evaluator.set_base(evaluator.matrix_of(base))
         name = evaluator.object_names[0]
-        index = evaluator.object_names.index(name)
         rows = np.array([stripe_fractions(list(disks), farm)
                          for disks in ([0], [0, 1], [2, 3, 4],
                                        list(range(len(farm))))])
-        batched = evaluator.bounds_for_rows(name, rows)
+        batched = evaluator._bounds((name,), rows)
         for row, bound in zip(rows, batched):
-            changed = matrix.copy()
-            changed[index] = row
+            changed = base.with_fractions(name, tuple(row))
             assert bound == pytest.approx(
-                evaluator.lower_bound_matrix(changed), abs=1e-9)
+                _reference_bound(analyzed, changed, farm, name))
 
     def test_bounds_for_rows_lower_bound_true_cost(self, case):
         evaluator, _, sizes, farm = case
         base = full_striping(sizes, farm)
-        matrix = np.array([base.fractions_of(name)
-                           for name in evaluator.object_names])
-        evaluator.set_base(matrix)
+        evaluator.set_base(evaluator.matrix_of(base))
         for name in evaluator.object_names[:3]:
             rows = np.array([stripe_fractions([j], farm)
                              for j in range(len(farm))])
-            bounds = evaluator.bounds_for_rows(name, rows)
-            costs = evaluator.costs_for_rows(name, rows)
+            bounds = evaluator._bounds((name,), rows)
+            costs = evaluator.costs_for_rows((name,), rows)
             assert np.all(bounds <= costs + 1e-9)
 
     def test_bounds_require_a_base(self, case):
         evaluator, _, sizes, farm = case
         rows = np.array([stripe_fractions([0], farm)])
         with pytest.raises(LayoutError):
-            evaluator.bounds_for_rows(evaluator.object_names[0], rows)
+            evaluator._bounds((evaluator.object_names[0],), rows)
 
     def test_bound_evaluations_counted(self, case):
         evaluator, _, sizes, farm = case
@@ -148,12 +173,10 @@ class TestLowerBoundSoundness:
         evaluator.bind_metrics(metrics)
         try:
             base = full_striping(sizes, farm)
-            evaluator.set_base(np.array(
-                [base.fractions_of(name)
-                 for name in evaluator.object_names]))
+            evaluator.set_base(evaluator.matrix_of(base))
             rows = np.array([stripe_fractions([0], farm),
                              stripe_fractions([0, 1], farm)])
-            evaluator.bounds_for_rows(evaluator.object_names[0], rows)
+            evaluator._bounds((evaluator.object_names[0],), rows)
         finally:
             evaluator.bind_metrics(None)
         assert metrics.value("costmodel.bound_evaluations") == 2.0

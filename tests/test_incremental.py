@@ -14,11 +14,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.audit_rules import check_migration
 from repro.catalog.io import load_database, load_farm
 from repro.core.advisor import LayoutAdvisor
+from repro.core.constraints import CoLocated, ConstraintSet
+from repro.core.costmodel import CostModel, WorkloadCostEvaluator
 from repro.core.fullstripe import full_striping
 from repro.core.incremental import IncrementalSearch
 from repro.core.layout import Layout
@@ -26,6 +29,7 @@ from repro.core.tolerance import EPS_COST, EPS_FRACTION
 from repro.core import tolerance
 from repro.errors import LayoutError
 from repro.obs import MetricsRegistry, Tracer
+from repro.optimizer.operators import ObjectAccess
 from repro.storage import migration as migration_module
 from repro.storage.disk import DiskSpec, DiskFarm, uniform_farm
 from repro.storage.migration import (
@@ -33,7 +37,12 @@ from repro.storage.migration import (
     MigrationStep,
     plan_migration,
 )
-from repro.workload.access_graph import AccessGraph
+from repro.workload.access import (
+    AnalyzedStatement,
+    AnalyzedWorkload,
+    SubplanAccess,
+)
+from repro.workload.access_graph import AccessGraph, build_access_graph
 from repro.workload.drift import (
     RELAYOUT_THRESHOLD,
     DriftReport,
@@ -302,6 +311,141 @@ class TestIncrementalSearchValidation:
             IncrementalSearch(farm8, evaluator=None,
                               object_sizes=mini_db.object_sizes(),
                               constraints=constraints)
+
+
+class _AuditedEvaluator(WorkloadCostEvaluator):
+    """Records each accepted pick and the layout each commit adopts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.steps: list[tuple[float, float, np.ndarray]] = []
+        self._pick = None
+        self._matrix = None
+
+    def set_base(self, matrix):
+        self._matrix = matrix.copy()
+        return super().set_base(matrix)
+
+    def best_for_rows(self, objects, rows, incumbent, prune=True):
+        best = super().best_for_rows(objects, rows, incumbent, prune)
+        if best[1] >= 0:
+            self._pick = best[0]
+        return best
+
+    def commit_rows(self, rows):
+        total = super().commit_rows(rows)
+        for name, row in rows.items():
+            self._matrix[self.object_names.index(name)] = row
+        self.steps.append((self._pick, total, self._matrix.copy()))
+        return total
+
+
+class _ExactScanEvaluator(WorkloadCostEvaluator):
+    """Costs every candidate with the reference model, one by one."""
+
+    def __init__(self, workload, farm, names, sizes):
+        super().__init__(workload, farm, names)
+        self._workload, self._sizes = workload, sizes
+        self._matrix = None
+
+    def set_base(self, matrix):
+        self._matrix = matrix.copy()
+        return super().set_base(matrix)
+
+    def commit_rows(self, rows):
+        for name, row in rows.items():
+            self._matrix[self.object_names.index(name)] = row
+        return super().commit_rows(rows)
+
+    def best_for_rows(self, objects, rows, incumbent, prune=True):
+        best_cost, best_index = float(incumbent), -1
+        for index, candidate in enumerate(np.asarray(rows)):
+            fractions = {name: tuple(row) for name, row
+                         in zip(self.object_names, self._matrix)}
+            member_rows = np.broadcast_to(
+                candidate, (len(objects), len(self.farm)))
+            fractions.update({name: tuple(row) for name, row
+                              in zip(objects, member_rows)})
+            cost = CostModel(self.farm).workload_cost(
+                self._workload, Layout(self.farm, self._sizes, fractions,
+                                       check_capacity=False))
+            if cost < best_cost - EPS_COST:
+                best_cost, best_index = cost, index
+        return best_cost, best_index, 0
+
+
+class TestProjectedGroupMoves:
+    """A co-located pair on one disk set with different fractions.
+
+    A projected move blends each member toward its own current row, so
+    the members' candidate rows differ; the search must cost exactly
+    the layout it then adopts.
+    """
+
+    @pytest.fixture
+    def scenario(self):
+        farm = DiskFarm([
+            DiskSpec(f"D{j}", capacity_blocks=10**6, avg_seek_s=0.01,
+                     read_mb_s=20.0 + 5 * j, write_mb_s=15.0 + 5 * j)
+            for j in range(4)])
+        sizes = {"a": 100, "b": 100, "c": 50}
+
+        def statement(name, weight, *accesses):
+            return AnalyzedStatement(
+                statement=Statement(f"-- {name}", weight=weight),
+                plan=None, subplans=[SubplanAccess([
+                    ObjectAccess(obj, blocks, write=write)
+                    for obj, blocks, write in accesses])])
+
+        workload = AnalyzedWorkload([
+            statement("q1", 3.0, ("a", 1000.0, False),
+                      ("b", 800.0, False)),
+            statement("q2", 1.0, ("b", 500.0, True), ("c", 300.0, False)),
+            statement("q3", 1.0, ("a", 400.0, False))])
+        current = Layout(farm, sizes, {"a": (0.8, 0.2, 0.0, 0.0),
+                                       "b": (0.3, 0.7, 0.0, 0.0),
+                                       "c": (0.0, 0.0, 0.5, 0.5)})
+        constraints = ConstraintSet(co_located=[CoLocated("a", "b")])
+        return farm, sizes, workload, current, constraints
+
+    def _search(self, scenario, evaluator):
+        farm, sizes, workload, current, constraints = scenario
+        return IncrementalSearch(
+            farm, evaluator, sizes, constraints=constraints).search(
+                build_access_graph(workload), current, 0.1)
+
+    def test_accepted_moves_cost_what_they_commit(self, scenario):
+        farm, sizes, workload, _, _ = scenario
+        evaluator = _AuditedEvaluator(workload, farm, sorted(sizes))
+        result = self._search(scenario, evaluator)
+        assert result.extras["projected_moves"] > 0
+        model = CostModel(farm)
+        for picked, committed, matrix in evaluator.steps:
+            layout = Layout(farm, sizes, dict(zip(
+                evaluator.object_names, map(tuple, matrix))),
+                check_capacity=False)
+            expected = model.workload_cost(workload, layout)
+            assert committed == pytest.approx(expected, rel=EPS_COST)
+            assert picked == pytest.approx(committed, rel=EPS_COST)
+        # The budget is spent on the group's projected move.
+        assert result.layout.fractions_of("a") \
+            != result.layout.fractions_of("b")
+        assert result.extras["moved_fraction"] > 0.0
+
+    def test_matches_exact_per_candidate_costing(self, scenario):
+        farm, sizes, workload, _, _ = scenario
+        fused = self._search(scenario, WorkloadCostEvaluator(
+            workload, farm, sorted(sizes)))
+        exact = self._search(scenario, _ExactScanEvaluator(
+            workload, farm, sorted(sizes), sizes))
+        assert fused.cost == pytest.approx(exact.cost, rel=EPS_COST)
+        # Only the group's projected move beats the current layout.
+        current_cost = CostModel(farm).workload_cost(workload,
+                                                     scenario[3])
+        assert fused.cost < current_cost - EPS_COST
+        for name in sizes:
+            assert fused.layout.fractions_of(name) == pytest.approx(
+                exact.layout.fractions_of(name), abs=EPS_FRACTION)
 
 
 class TestIncrementalRecommendMiniDb:

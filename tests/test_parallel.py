@@ -351,6 +351,40 @@ class TestFaultTolerance:
         assert metrics.value("resilience.serial_fallbacks") == 3.0
         assert reap_orphans() == []
 
+    def test_pool_broken_while_queueing_falls_back_serially(
+            self, case, monkeypatch):
+        # A worker dying in its initializer can break the pool before
+        # the last task is queued; submit() then raises instead of
+        # handing back a failed future.  Force that ordering.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.parallel import portfolio
+
+        class BreaksAfterFirstSubmit(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                if getattr(self, "_queued", False):
+                    raise BrokenProcessPool("worker died in initializer")
+                self._queued = True
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(portfolio, "ProcessPoolExecutor",
+                            BreaksAfterFirstSubmit)
+        evaluator, graph, sizes, farm = case
+        specs = default_portfolio(3)
+        baseline = PortfolioSearch(farm, evaluator, sizes, specs=specs,
+                                   jobs=1).search(graph)
+        metrics = MetricsRegistry()
+        result = PortfolioSearch(
+            farm, evaluator, sizes, specs=specs, jobs=2,
+            backend="process", metrics=metrics,
+            faults=FaultPlan(fail_shm_attach=True)).search(graph)
+        assert not result.degraded
+        assert result.cost == baseline.cost
+        assert _fractions(result.layout) == _fractions(baseline.layout)
+        assert metrics.value("resilience.serial_fallbacks") == 3.0
+        assert reap_orphans() == []
+
     def test_slow_trajectory_times_out(self, case):
         evaluator, graph, sizes, farm = case
         engine = PortfolioSearch(
