@@ -1,6 +1,6 @@
 """SRCH — search-speed benchmark: pruning and the portfolio engine.
 
-Times five configurations of the layout search on a synthetic
+Times four configurations of the layout search on a synthetic
 paper-scale workload (TPC-H schema, seeded query generator):
 
 1. TS-GREEDY with bound-based pruning disabled (the pre-optimization
@@ -8,11 +8,8 @@ paper-scale workload (TPC-H schema, seeded query generator):
 2. TS-GREEDY with pruning enabled — must return the bit-identical
    layout and cost while fully evaluating fewer candidates;
 3. the trajectory portfolio run serially (``jobs=1``);
-4. the same portfolio on a thread pool over evaluator clones
-   (``backend="thread"``) — must return the bit-identical result of
-   the serial portfolio;
-5. the same portfolio on worker processes (``backend="process"``) —
-   likewise bit-identical.
+4. the same portfolio on worker processes (``jobs > 1``) — must return
+   the bit-identical result of the serial portfolio.
 
 A separate micro-benchmark isolates the evaluator kernel itself: one
 single-row ``costs_for_rows`` call per candidate (the pre-fusion
@@ -59,6 +56,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import platform
 import sys
 import time
 from pathlib import Path
@@ -119,10 +117,12 @@ def measure_telemetry_overhead(farm, evaluator, sizes, graph,
                                repeats: int = 3) -> dict:
     """Wall cost of full telemetry vs none on the pruned greedy search.
 
-    Best-of-``repeats`` for both arms (minimum is the standard noise
-    filter for micro-benchmarks).  "Full" means a live flight recorder,
-    a recording tracer, and a bound metric registry — everything the
-    CLI turns on for ``--events`` — against a run with all three off.
+    The arms are timed interleaved (off, on, off, on, ...) so host
+    drift over the measurement lands on both arms alike, and each arm
+    keeps its best of ``repeats`` (minimum is the standard noise filter
+    for micro-benchmarks).  "Full" means a live flight recorder, a
+    recording tracer, and a bound metric registry — everything the CLI
+    turns on for ``--events`` — against a run with all three off.
     """
     def run_off():
         return TsGreedySearch(farm, evaluator, sizes,
@@ -140,8 +140,10 @@ def measure_telemetry_overhead(farm, evaluator, sizes, graph,
         finally:
             evaluator.bind_metrics(None)
 
-    off_s = min(_timed(run_off)[1] for _ in range(repeats))
-    on_s = min(_timed(run_on)[1] for _ in range(repeats))
+    timings = [(_timed(run_off)[1], _timed(run_on)[1])
+               for _ in range(repeats)]
+    off_s = min(off for off, _ in timings)
+    on_s = min(on for _, on in timings)
     overhead_pct = 100.0 * (on_s - off_s) / max(off_s, 1e-9)
     return {"off_s": round(off_s, 4), "on_s": round(on_s, 4),
             "overhead_pct": round(overhead_pct, 2)}
@@ -242,7 +244,7 @@ def measure_eval_throughput(farm, evaluator, sizes, graph,
 
 
 def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
-    """Run all five configurations; return the BENCH_search payload."""
+    """Run all four configurations; return the BENCH_search payload."""
     mode = resolve_mode(mode)
     evaluator, graph, sizes, farm = _case(mode)
     n_trajectories = MODES[mode][2]
@@ -276,33 +278,28 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
         == plain.layout.fractions_of(name)
         for name in plain.layout.object_names)
 
-    # 3/4/5 — the portfolio: serial, thread pool, process pool.
+    # 3/4 — the portfolio: serial, then on the process pool.
     metrics_serial = MetricsRegistry()
     tracer_serial = Tracer()
     serial, t_serial = _timed(lambda: PortfolioSearch(
         farm, evaluator, sizes, specs=specs, jobs=1,
         tracer=tracer_serial,
         metrics=metrics_serial).search(graph))
-    metrics_thread = MetricsRegistry()
-    tracer_thread = Tracer()
-    threaded, t_thread = _timed(lambda: PortfolioSearch(
-        farm, evaluator, sizes, specs=specs, jobs=jobs,
-        backend="thread", tracer=tracer_thread,
-        metrics=metrics_thread).search(graph))
     metrics_pooled = MetricsRegistry()
     tracer_pooled = Tracer()
     pooled, t_pooled = _timed(lambda: PortfolioSearch(
         farm, evaluator, sizes, specs=specs, jobs=jobs,
-        backend="process", tracer=tracer_pooled,
+        tracer=tracer_pooled,
         metrics=metrics_pooled).search(graph))
     portfolio_drift = abs(pooled.cost - serial.cost)
-    portfolio_drift_thread = abs(threaded.cost - serial.cost)
     throughput = measure_eval_throughput(farm, evaluator, sizes, graph,
                                          layout=pruned_run.layout)
 
     return {
         "mode": mode,
         "cores": cores,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "jobs": jobs,
         "trajectories": n_trajectories,
         "phases_version": PROFILE_VERSION,
@@ -326,21 +323,12 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
             "wall_s": round(t_serial, 4),
             "evaluations": serial.evaluations,
             "cost": serial.cost,
-            "backend": "serial",
             "phases": phase_breakdown(tracer_serial, metrics_serial),
-        },
-        "portfolio_thread": {
-            "wall_s": round(t_thread, 4),
-            "evaluations": threaded.evaluations,
-            "cost": threaded.cost,
-            "backend": "thread",
-            "phases": phase_breakdown(tracer_thread, metrics_thread),
         },
         "portfolio_parallel": {
             "wall_s": round(t_pooled, 4),
             "evaluations": pooled.evaluations,
             "cost": pooled.cost,
-            "backend": "process",
             "phases": phase_breakdown(tracer_pooled, metrics_pooled),
         },
         "telemetry_overhead": measure_telemetry_overhead(
@@ -353,12 +341,9 @@ def run_bench(jobs: int = 0, mode: str | None = None) -> dict:
             1.0 - pruned_run.evaluations / max(plain.evaluations, 1), 4),
         "prune_speedup": round(t_noprune / max(t_prune, 1e-9), 3),
         "parallel_speedup": round(t_serial / max(t_pooled, 1e-9), 3),
-        "parallel_speedup_thread": round(
-            t_serial / max(t_thread, 1e-9), 3),
         "prune_drift": prune_drift,
         "prune_same_layout": same_layout,
         "portfolio_drift": portfolio_drift,
-        "portfolio_drift_thread": portfolio_drift_thread,
     }
 
 
@@ -379,9 +364,6 @@ def check_invariants(payload: dict) -> None:
     assert payload["prune_same_layout"], "pruning changed the layout"
     assert payload["portfolio_drift"] == 0.0, \
         f"jobs>1 changed the cost by {payload['portfolio_drift']}"
-    assert payload["portfolio_drift_thread"] == 0.0, \
-        f"the thread backend changed the cost by " \
-        f"{payload['portfolio_drift_thread']}"
     assert payload["greedy_prune"]["evaluations"] \
         < payload["greedy_noprune"]["evaluations"]
     if payload["mode"] == "small":
@@ -418,24 +400,17 @@ def check_invariants(payload: dict) -> None:
         assert payload["parallel_speedup"] > floor, \
             f"no speedup on {payload['cores']} cores: " \
             f"{payload['parallel_speedup']}x"
-        assert payload["parallel_speedup_thread"] >= 1.0, \
-            f"thread backend slower than serial on " \
-            f"{payload['cores']} cores: " \
-            f"{payload['parallel_speedup_thread']}x"
 
 
 def _render(payload: dict) -> str:
     rows = [
         [name, f"{payload[name]['wall_s']:.3f}s",
          payload[name]["evaluations"],
-         f"{payload[name]['cost']:.4f}",
-         payload[name].get("backend", "-")]
+         f"{payload[name]['cost']:.4f}"]
         for name in ("greedy_noprune", "greedy_prune",
-                     "portfolio_serial", "portfolio_thread",
-                     "portfolio_parallel")]
+                     "portfolio_serial", "portfolio_parallel")]
     table = common.format_table(
-        ["configuration", "wall", "evaluations", "cost", "backend"],
-        rows)
+        ["configuration", "wall", "evaluations", "cost"], rows)
     throughput = payload["eval_throughput"]
     return (f"{table}\n"
             f"pruned {payload['greedy_prune']['pruned_candidates']} "
@@ -443,9 +418,9 @@ def _render(payload: dict) -> str:
             f"({100 * payload['prune_eval_reduction']:.1f}% fewer full "
             f"evaluations), prune speedup "
             f"{payload['prune_speedup']}x, parallel speedup "
-            f"{payload['parallel_speedup']}x (thread "
-            f"{payload['parallel_speedup_thread']}x) on "
-            f"{payload['cores']} core(s) with jobs={payload['jobs']}, "
+            f"{payload['parallel_speedup']}x on "
+            f"{payload['cores']} core(s) with jobs={payload['jobs']} "
+            f"(Python {payload['python']}, numpy {payload['numpy']}), "
             f"drift 0.0, telemetry overhead "
             f"{payload['telemetry_overhead']['overhead_pct']}%\n"
             f"fused kernel: "

@@ -35,12 +35,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))  # for bench helpers
 from bench_env import resolve_mode  # noqa: E402
@@ -50,6 +53,7 @@ from repro.benchdb import tpch  # noqa: E402
 from repro.benchdb.synth import synthetic_workload  # noqa: E402
 from repro.catalog.io import database_to_dict, farm_to_dict  # noqa: E402
 from repro.experiments import common  # noqa: E402
+from repro.parallel import available_workers  # noqa: E402
 from repro.server import AdvisorService, make_server  # noqa: E402
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_server.json"
@@ -240,6 +244,9 @@ def run_bench(mode: str | None = None) -> dict:
     return {
         "bench": "server",
         "mode": mode,
+        "cores": available_workers(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "clients": clients,
         "workers": workers,
         "distinct_workloads": distinct,

@@ -27,9 +27,12 @@ Two classes of check:
 * **Wall-clock** (skippable with ``--skip-wall``): each configuration's
   wall time must be within ``--max-regression`` (default 25%) of the
   baseline, and the fused kernel's candidate-evaluation throughput
-  must not fall below the baseline's by more than the same allowance.  Only meaningful when baseline and candidate ran on
-  comparable hardware — CI skips it when falling back to the committed
-  baseline, which was recorded on a different machine.  When both
+  must not fall below the baseline's by more than the same allowance.
+  Only meaningful when baseline and candidate ran on comparable
+  hardware — CI skips it when falling back to the committed baseline,
+  which was recorded on a different machine.  Payloads that record
+  different core counts are never wall-compared: the gate reports a
+  ``cores mismatch`` violation instead.  When both
   payloads carry the per-phase breakdown (``phases_version`` 1), a
   wall violation names the search phase whose wall time grew the most
   (e.g. ``slowest-growing phase: greedy (+0.330s, ...)``), so the
@@ -60,12 +63,7 @@ from bench_server import (  # noqa: E402
 
 #: Configurations whose wall/evaluations/cost are compared.
 CONFIGS = ("greedy_noprune", "greedy_prune", "portfolio_serial",
-           "portfolio_thread", "portfolio_parallel")
-
-#: Configurations older baselines may predate (added with the thread
-#: backend).  Missing from the *baseline* -> skipped, not a violation;
-#: missing from the candidate is always a violation.
-OPTIONAL_BASELINE_CONFIGS = frozenset({"portfolio_thread"})
+           "portfolio_parallel")
 
 #: Absolute tolerance for cost comparisons across runs.  The search is
 #: seeded and deterministic; this only absorbs float-accumulation
@@ -101,11 +99,30 @@ def _attribute_phase(base_cfg: dict, cand_cfg: dict) -> str:
             f"{before:.3f}s -> {after:.3f}s)")
 
 
+def _cores_mismatch(baseline: dict, candidate: dict) -> str | None:
+    """The violation for payloads recorded on different core counts.
+
+    Wall times and throughputs from machines with different core
+    counts measure the hardware, not the change.  A payload from before
+    the field existed carries no ``cores`` and is compared as before,
+    so a cached baseline without it can still be replaced by a green
+    run instead of failing every gate.
+    """
+    base, cand = baseline.get("cores"), candidate.get("cores")
+    if base is None or cand is None or base == cand:
+        return None
+    return (f"cores mismatch: baseline ran on cores={base!r}, "
+            f"candidate on cores={cand!r} — wall-clock figures are not "
+            f"comparable (rerun the baseline here, or --skip-wall)")
+
+
 def compare(baseline: dict, candidate: dict,
             max_regression: float = DEFAULT_MAX_REGRESSION,
             skip_wall: bool = False) -> list[str]:
     """All gate violations of ``candidate`` against ``baseline``.
 
+    Wall-clock checks run unless ``skip_wall`` is set; payloads from
+    different core counts get a ``cores mismatch`` violation instead.
     Returns an empty list when the candidate passes.
     """
     violations: list[str] = []
@@ -123,13 +140,15 @@ def compare(baseline: dict, candidate: dict,
             f"mode mismatch: baseline ran {baseline.get('mode')!r}, "
             f"candidate ran {candidate.get('mode')!r} — counts and "
             f"costs are not comparable")
+    wall = not skip_wall
+    if wall:
+        mismatch = _cores_mismatch(baseline, candidate)
+        if mismatch:
+            violations.append(mismatch)
+            wall = False
 
     for name in CONFIGS:
         base, cand = baseline.get(name), candidate.get(name)
-        if base is None and name in OPTIONAL_BASELINE_CONFIGS:
-            # The stored baseline predates this configuration; the
-            # candidate's own invariants still cover it.
-            continue
         if base is None or cand is None:
             violations.append(f"{name}: missing from "
                               f"{'baseline' if base is None else 'candidate'}")
@@ -145,7 +164,7 @@ def compare(baseline: dict, candidate: dict,
                 violations.append(
                     f"{name}: cost drifted {base['cost']:.6f} -> "
                     f"{cand['cost']:.6f}")
-        if not skip_wall:
+        if wall:
             limit = base["wall_s"] * (1.0 + max_regression)
             if cand["wall_s"] > limit:
                 violations.append(
@@ -163,7 +182,7 @@ def compare(baseline: dict, candidate: dict,
             violations.append(
                 f"prune_eval_reduction eroded "
                 f"{base_red:.1%} -> {cand_red:.1%}")
-    if not skip_wall:
+    if wall:
         # Fused-kernel candidate throughput must not fall below the
         # baseline's by more than the wall allowance.  Only checked
         # when both payloads carry the field (added with the fused
@@ -199,9 +218,11 @@ def compare_server(baseline: dict, candidate: dict,
     Machine-independent (always on): the candidate's own invariants
     (zero errors, completion, hit-ratio floor), mode and request-count
     agreement with the baseline, and no hit-ratio erosion beyond
-    :data:`HIT_RATIO_SLACK`.  Wall-clock (skippable): sustained
-    throughput must not fall below the baseline's by more than
-    ``max_regression``, and p95 latency must not exceed it by more.
+    :data:`HIT_RATIO_SLACK`.  Wall-clock (skippable; replaced by a
+    ``cores mismatch`` violation when the core counts differ):
+    sustained throughput must not fall below the baseline's by more
+    than ``max_regression``, and p95 latency must not exceed it by
+    more.
     """
     violations: list[str] = []
     try:
@@ -215,6 +236,12 @@ def compare_server(baseline: dict, candidate: dict,
             f"mode mismatch: baseline ran {baseline.get('mode')!r}, "
             f"candidate ran {candidate.get('mode')!r} — request "
             f"volumes are not comparable")
+    wall = not skip_wall
+    if wall:
+        mismatch = _cores_mismatch(baseline, candidate)
+        if mismatch:
+            violations.append(mismatch)
+            wall = False
     if same_mode and candidate.get("requests") \
             != baseline.get("requests"):
         violations.append(
@@ -228,7 +255,7 @@ def compare_server(baseline: dict, candidate: dict,
             f"cache hit ratio eroded {base_ratio:.1%} -> "
             f"{cand_ratio:.1%} (slack {HIT_RATIO_SLACK:.0%})")
 
-    if not skip_wall:
+    if wall:
         base_tp = float(baseline.get("throughput_rps", 0.0))
         cand_tp = float(candidate.get("throughput_rps", 0.0))
         floor = base_tp / (1.0 + max_regression)

@@ -57,11 +57,9 @@ findings are suppressed per line with a justified
 Performance (see ``docs/performance.md``): ``--method portfolio`` runs
 several search trajectories (seeded TS-GREEDY multi-starts plus
 annealing restarts) and keeps the best layout; ``--jobs N`` spreads
-them over ``N`` workers — ``--backend`` picks threads (evaluator
-clones, GIL-free numpy kernels), worker processes (one cost evaluator
-in shared memory), or the deterministic ``auto`` size heuristic.  The
-recommendation is bit-identical for any ``--jobs``/``--backend``
-combination.
+them over ``N`` worker processes that share one cost evaluator in
+shared memory (``--jobs 1`` runs them serially in-process).  The
+recommendation is bit-identical for any ``--jobs``.
 
 Resilience (see ``docs/resilience.md``): ``--deadline S`` bounds the
 portfolio search's wall clock; on expiry (or worker crashes) the
@@ -298,14 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="workers for --method portfolio "
                           "(1 = serial in-process, 0 = all cores; "
                           "the result is identical either way)")
-    rec.add_argument("--backend", default="auto",
-                     choices=["auto", "thread", "process"],
-                     help="parallel backend for --method portfolio "
-                          "with --jobs != 1: thread pool over "
-                          "evaluator clones, worker processes over "
-                          "shared memory, or a deterministic size "
-                          "heuristic (default: auto); the result is "
-                          "bit-identical either way")
     rec.add_argument("--portfolio", type=int, default=None,
                      metavar="N",
                      help="trajectory count for --method portfolio "
@@ -636,7 +626,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             warnings.simplefilter("ignore", DegradedResult)
             recommendation = advisor.recommend(
                 workload, current_layout=current, method=method,
-                k=args.k, jobs=args.jobs, backend=args.backend,
+                k=args.k, jobs=args.jobs,
                 portfolio=args.portfolio,
                 deadline=args.deadline, retry=retry,
                 trajectory_timeout_s=args.trajectory_timeout,

@@ -190,7 +190,7 @@ class LayoutAdvisor:
     def recommend(self, workload: Workload | AnalyzedWorkload,
                   current_layout: Layout | None = None,
                   method: str = "ts-greedy",
-                  k: int = 1, jobs: int = 1, backend: str = "auto",
+                  k: int = 1, jobs: int = 1,
                   portfolio=None, deadline=None, retry=None,
                   trajectory_timeout_s: float | None = None,
                   faults=None,
@@ -208,12 +208,9 @@ class LayoutAdvisor:
                 ``"exhaustive"``.
             k: TS-GREEDY's widening parameter.
             jobs: Worker count for ``method="portfolio"`` (1 runs
-                the portfolio serially in-process, 0 auto-sizes to the
-                machine; results are identical either way).
-            backend: For ``method="portfolio"`` with ``jobs != 1``:
-                ``"thread"``, ``"process"``, or ``"auto"`` (default —
-                a deterministic workload-size heuristic).  Results are
-                bit-identical across backends; only wall time differs.
+                the portfolio serially in-process, ``N > 1`` on ``N``
+                worker processes, 0 auto-sizes to the machine; results
+                are identical either way).
             portfolio: For ``method="portfolio"``: a trajectory count,
                 a sequence of :class:`repro.parallel.TrajectorySpec`,
                 or ``None`` for the default portfolio.
@@ -280,8 +277,7 @@ class LayoutAdvisor:
                 graph = self.access_graph(analyzed)
                 result = self._portfolio_search(
                     evaluator, sizes, graph, current_layout, k, jobs,
-                    portfolio, backend=backend, deadline=deadline,
-                    retry=retry,
+                    portfolio, deadline=deadline, retry=retry,
                     trajectory_timeout_s=trajectory_timeout_s,
                     faults=faults)
                 if result.degraded:
@@ -380,8 +376,7 @@ class LayoutAdvisor:
     def _portfolio_search(self, evaluator: WorkloadCostEvaluator,
                           sizes: dict[str, int], graph: AccessGraph,
                           current_layout: Layout, k: int, jobs: int,
-                          portfolio, backend: str = "auto",
-                          deadline=None, retry=None,
+                          portfolio, deadline=None, retry=None,
                           trajectory_timeout_s: float | None = None,
                           faults=None) -> SearchResult:
         """Run the multi-start portfolio engine (method="portfolio")."""
@@ -402,7 +397,6 @@ class LayoutAdvisor:
         engine = PortfolioSearch(self._farm, evaluator, sizes,
                                  constraints=self._constraints,
                                  specs=specs, jobs=jobs,
-                                 backend=backend,
                                  tracer=self._tracer,
                                  metrics=self._metrics,
                                  deadline=deadline, retry=retry,

@@ -61,10 +61,9 @@ _CHUNK_TARGET_BYTES = 128 << 10
 _CHUNK_MIN = 16
 _CHUNK_MAX = 1024
 
-#: The read-only packed arrays every evaluator clone / shared-memory
-#: attach shares; mutable per-search state is never in this list.
-PACKED_ARRAYS = ("_idx", "_blocks", "_mask", "_inv", "_weights",
-                 "_seeks")
+#: The read-only packed arrays a shared-memory replica attaches to;
+#: mutable per-search state is never in this list.
+PACKED_ARRAYS = ("_idx", "_blocks", "_inv", "_weights", "_seeks")
 
 
 class CostModel:
@@ -229,11 +228,11 @@ class WorkloadCostEvaluator:
                     + analyzed.weight
         s_count = len(signatures)
         k_max = max((len(sig) for sig in signatures), default=1)
-        # Padding slots keep zero blocks (and a False mask), so they
-        # contribute nothing to any stream spread.
-        idx = np.zeros((s_count, k_max), dtype=np.intp)
+        # Padding slots keep zero blocks, so they contribute nothing to
+        # any stream spread, and object index -1, so they never count
+        # as touching an object.
+        idx = np.full((s_count, k_max), -1, dtype=np.intp)
         blocks_packed = np.zeros((s_count, k_max))
-        mask = np.zeros((s_count, k_max), dtype=bool)
         inv = np.zeros((s_count, k_max, m))
         weights = np.zeros(s_count)
         for s, (sig, weight) in enumerate(signatures.items()):
@@ -241,10 +240,9 @@ class WorkloadCostEvaluator:
             for k, (obj, write, blocks) in enumerate(sig):
                 idx[s, k] = obj
                 blocks_packed[s, k] = blocks
-                mask[s, k] = True
                 inv[s, k] = inv_write if write else inv_read
-        packed = {"_idx": idx, "_blocks": blocks_packed, "_mask": mask,
-                  "_inv": inv, "_weights": weights,
+        packed = {"_idx": idx, "_blocks": blocks_packed, "_inv": inv,
+                  "_weights": weights,
                   "_seeks": np.array([d.avg_seek_s for d in farm])}
         self._adopt(farm, object_names, packed,
                     n_compressed_from=sum(1 for a in workload
@@ -260,25 +258,25 @@ class WorkloadCostEvaluator:
                metrics=None, pin: object = None) -> None:
         """The one construction path: adopt packed arrays, fresh state.
 
-        ``__init__`` packs a workload, :meth:`clone` reuses its own
-        packing and :func:`repro.parallel.shared.attach_evaluator` maps
-        a shared segment; all three end here, so the derived index and
-        the per-search mutable state are built in one place and clones
-        and attached replicas can never alias search state.  ``pin``
-        keeps the owner of the arrays' memory (a shared-memory mapping)
-        alive as long as the evaluator.
+        ``__init__`` packs a workload and
+        :func:`repro.parallel.shared.attach_evaluator` maps a shared
+        segment; both end here, so the derived index and the per-search
+        mutable state are built in one place and attached replicas can
+        never alias search state.  ``pin`` keeps the owner of the
+        arrays' memory (a shared-memory mapping) alive as long as the
+        evaluator.
         """
         self._metrics = metrics if metrics is not None else NULL_METRICS
         self._farm = farm
         self._names = list(object_names)
         self._index = {name: i for i, name in enumerate(self._names)}
-        (self._idx, self._blocks, self._mask, self._inv, self._weights,
+        (self._idx, self._blocks, self._inv, self._weights,
          self._seeks) = (packed[attr] for attr in PACKED_ARRAYS)
         self._pin = pin
         self.n_compressed_from = n_compressed_from
         #: subplan indices touching each object row
         self._touching = [
-            np.nonzero(((self._idx == i) & self._mask).any(axis=1))[0]
+            np.nonzero((self._idx == i).any(axis=1))[0]
             for i in range(len(self._names))]
         self._base_matrix = np.zeros((0, 0))
         self._base_costs = np.zeros(0)
@@ -293,33 +291,6 @@ class WorkloadCostEvaluator:
         self._slices: dict[tuple[int, ...], _Slice] = {}
 
     # -- matrix plumbing -----------------------------------------------------
-
-    def clone(self) -> "WorkloadCostEvaluator":
-        """A twin sharing the packed arrays but no mutable state.
-
-        The packed ``(S, K, m)`` arrays are immutable after
-        construction, so clones reference them without copying; the
-        base matrix, the slice cache and the metrics binding are
-        private per clone.  This is what lets the thread-backed
-        portfolio run trajectories concurrently: numpy kernels release
-        the GIL, and each trajectory mutates only its own clone.
-        """
-        twin = WorkloadCostEvaluator.__new__(WorkloadCostEvaluator)
-        twin._adopt(self._farm, self._names,
-                    {attr: getattr(self, attr) for attr in PACKED_ARRAYS},
-                    self.n_compressed_from, pin=self._pin)
-        return twin
-
-    @property
-    def packed_nbytes(self) -> int:
-        """Total bytes of the packed evaluation arrays.
-
-        The deterministic size signal the portfolio's ``backend="auto"``
-        heuristic keys on: small packings favor the thread backend
-        (nothing worth paying process spawn + shared memory for).
-        """
-        return int(sum(getattr(self, attr).nbytes
-                       for attr in PACKED_ARRAYS))
 
     def bind_metrics(self, metrics) -> None:
         """Swap the registry recording ``costmodel.*`` counters.

@@ -142,14 +142,13 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
     "partition.swaps": (
         COUNTER, "node-pair KL swaps applied"),
     # -- portfolio engine -----------------------------------------------
-    "portfolio.backend": (
-        GAUGE, "backend of the last run (-1 serial, 0 thread, 1 process)"),
     "portfolio.best_trajectory": (
         GAUGE, "index of the winning trajectory"),
     "portfolio.trajectories": (
         GAUGE, "trajectories the portfolio dispatched"),
     "portfolio.workers": (
-        GAUGE, "worker processes used by the portfolio"),
+        GAUGE, "worker processes used by the portfolio (1 = serial "
+               "in-process)"),
     # -- resilience -----------------------------------------------------
     "resilience.degraded": (
         COUNTER, "portfolio runs that returned a partial result"),

@@ -2,17 +2,13 @@
 
 Runs several independent search trajectories (seeded TS-GREEDY
 variants, annealing restarts) concurrently and keeps the best layout.
-Two parallel backends: a worker-process pool whose cost evaluator is
-published once in ``multiprocessing.shared_memory`` (workers attach
-zero-copy instead of re-pickling megabytes per process), and a thread
-pool running per-thread evaluator clones — the evaluator's numpy
-kernels release the GIL, so at small/medium scale threads skip process
-spawn and shared-memory setup entirely.  ``backend="auto"`` (default)
-picks deterministically by packed-workload size.
+``jobs=1`` runs them serially in-process; ``jobs > 1`` runs them on a
+worker-process pool whose cost evaluator is published once in
+``multiprocessing.shared_memory`` (workers attach zero-copy instead of
+re-pickling megabytes per process).
 
-Results are bit-identical regardless of ``jobs`` or ``backend``: the
-trajectory list is deterministic and the winner is chosen by
-``min((cost, index))``.
+Results are bit-identical regardless of ``jobs``: the trajectory list
+is deterministic and the winner is chosen by ``min((cost, index))``.
 
 The engine degrades instead of dying: worker crashes, hung
 trajectories and expired deadlines (``repro.resilience``) turn into
@@ -27,10 +23,6 @@ degradation contract and the fault-injection harness.
 """
 
 from repro.parallel.portfolio import (
-    AUTO_THREAD_MAX_BYTES,
-    BACKEND_CODES,
-    BACKEND_NAMES,
-    BACKENDS,
     DEFAULT_TRAJECTORIES,
     PortfolioSearch,
     TrajectorySpec,
@@ -52,10 +44,6 @@ from repro.parallel.worker import (
 )
 
 __all__ = [
-    "AUTO_THREAD_MAX_BYTES",
-    "BACKENDS",
-    "BACKEND_CODES",
-    "BACKEND_NAMES",
     "DEFAULT_TRAJECTORIES",
     "PortfolioSearch",
     "SharedArraySpec",

@@ -541,7 +541,6 @@ class AdvisorService:
             "method": method,
             "k": int(body.get("k", 1)),
             "jobs": int(body.get("jobs", 1)),
-            "backend": str(body.get("backend", "auto")),
             "deadline": _number(body, "deadline"),
             "retries": _integer(body, "retries"),
             "movement_budget": _number(body, "movement_budget"),
@@ -628,7 +627,6 @@ class AdvisorService:
             method=params["method"],
             k=params["k"],
             jobs=params["jobs"],
-            backend=params["backend"],
             deadline=(Deadline.coerce(params["deadline"])
                       if params["deadline"] is not None else None),
             retry=(RetryPolicy(attempts=1 + params["retries"])

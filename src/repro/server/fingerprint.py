@@ -36,9 +36,8 @@ from repro.catalog.io import payload_fingerprint
 
 #: Search parameters that participate in the job fingerprint — these
 #: (and only these) can change the recommendation's content.  ``jobs``
-#: and ``backend`` are excluded on purpose: the portfolio engine is
-#: bit-identical across worker counts and backends, so they are
-#: execution detail, not content.
+#: is excluded on purpose: the portfolio engine is bit-identical across
+#: worker counts, so it is execution detail, not content.
 CONTENT_PARAMS = ("method", "k", "portfolio", "movement_budget",
                   "current_layout")
 

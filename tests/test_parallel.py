@@ -14,6 +14,7 @@ from repro.core.advisor import LayoutAdvisor
 from repro.core.costmodel import WorkloadCostEvaluator
 from repro.core.fullstripe import full_striping
 from repro.core.greedy import TsGreedySearch
+from repro.core.layout import stripe_fractions
 from repro.core.random_layout import random_layout
 from repro.errors import (
     DegradedResult,
@@ -73,6 +74,26 @@ class TestSharedEvaluator:
             with pytest.raises(ValueError):
                 attached._blocks[0, 0] = 1.0
             del attached
+
+    def test_attached_base_state_is_isolated(self, case):
+        evaluator, _, sizes, farm = case
+        base = evaluator.matrix_of(full_striping(sizes, farm))
+        base_cost = evaluator.set_base(base)
+        probe = np.array([stripe_fractions([0, 1], farm)])
+        before = evaluator.costs_for_rows(("big",), probe)
+        with share_evaluator(evaluator) as state:
+            replica = attach_evaluator(state.spec)
+            # The replica starts without a base of its own...
+            with pytest.raises(LayoutError, match="set_base"):
+                replica.costs_for_rows(("big",), probe)
+            # ...and committing into it never leaks into the original.
+            replica.set_base(base.copy())
+            replica.commit_rows(
+                {"big": np.array(stripe_fractions([0], farm))})
+            del replica  # release the views before the unlink
+        assert evaluator.commit_rows({}) == base_cost
+        assert np.array_equal(evaluator.costs_for_rows(("big",), probe),
+                              before)
 
     def test_close_unlinks_the_segment(self, case):
         evaluator, _, _, _ = case
@@ -339,7 +360,7 @@ class TestFaultTolerance:
         metrics = MetricsRegistry()
         engine = PortfolioSearch(
             farm, evaluator, sizes, specs=specs, jobs=2,
-            backend="process", metrics=metrics,
+            metrics=metrics,
             faults=FaultPlan(fail_shm_attach=True))
         result = engine.search(graph)
         # Every worker died attaching; the serial fallback recovered
@@ -377,7 +398,7 @@ class TestFaultTolerance:
         metrics = MetricsRegistry()
         result = PortfolioSearch(
             farm, evaluator, sizes, specs=specs, jobs=2,
-            backend="process", metrics=metrics,
+            metrics=metrics,
             faults=FaultPlan(fail_shm_attach=True)).search(graph)
         assert not result.degraded
         assert result.cost == baseline.cost
@@ -454,8 +475,7 @@ class TestFaultTolerance:
         monkeypatch.setattr("repro.parallel.portfolio.share_evaluator",
                             capturing)
         engine = PortfolioSearch(farm, evaluator, sizes,
-                                 specs=default_portfolio(2), jobs=2,
-                                 backend="process")
+                                 specs=default_portfolio(2), jobs=2)
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt

@@ -36,6 +36,8 @@ def payload(mode="ci"):
     return {
         "mode": mode,
         "cores": 4,
+        "python": "3.11.7",
+        "numpy": "2.4.6",
         "jobs": 2,
         "trajectories": 6,
         "greedy_noprune": {
@@ -45,24 +47,17 @@ def payload(mode="ci"):
             "pruned_candidates": 6586, "bound_evaluations": 9000,
             "cost": 54.7029},
         "portfolio_serial": {
-            "wall_s": 1.2, "evaluations": 11448, "cost": 54.7029,
-            "backend": "serial"},
-        "portfolio_thread": {
-            "wall_s": 0.9, "evaluations": 11448, "cost": 54.7029,
-            "backend": "thread"},
+            "wall_s": 1.2, "evaluations": 11448, "cost": 54.7029},
         "portfolio_parallel": {
-            "wall_s": 0.8, "evaluations": 11448, "cost": 54.7029,
-            "backend": "process"},
+            "wall_s": 0.8, "evaluations": 11448, "cost": 54.7029},
         "eval_throughput_candidates_per_s": 400_000.0,
         "eval_throughput_speedup": 15.0,
         "prune_eval_reduction": 0.836,
         "prune_speedup": 1.11,
         "parallel_speedup": 1.5,
-        "parallel_speedup_thread": 1.3,
         "prune_drift": 0.0,
         "prune_same_layout": True,
         "portfolio_drift": 0.0,
-        "portfolio_drift_thread": 0.0,
     }
 
 
@@ -103,6 +98,31 @@ class TestCompare:
         candidate["portfolio_serial"]["cost"] += 0.01
         violations = compare(payload(), candidate, skip_wall=True)
         assert any("cost drifted" in v for v in violations)
+
+    def test_cores_mismatch_reported_instead_of_wall(self):
+        # A baseline from a 4-core machine says nothing about a 2-core
+        # candidate's wall times: name the mismatch, compare no walls.
+        candidate = payload()
+        candidate["cores"] = 2
+        candidate["portfolio_parallel"]["wall_s"] *= 10
+        violations = compare(payload(), candidate)
+        assert [v for v in violations if "cores mismatch" in v] \
+            == violations
+        assert len(violations) == 1
+        assert "baseline ran on cores=4, candidate on cores=2" \
+            in violations[0]
+        assert compare(payload(), candidate, skip_wall=True) == []
+
+    def test_baseline_without_cores_is_still_wall_compared(self):
+        # Cached baselines from before the field existed must not fail
+        # every run (a failed run never replaces the baseline).
+        baseline = payload()
+        del baseline["cores"]
+        assert compare(baseline, payload()) == []
+        candidate = payload()
+        candidate["portfolio_serial"]["wall_s"] *= 3
+        violations = compare(baseline, candidate)
+        assert any("portfolio_serial: wall" in v for v in violations)
 
     def test_mode_mismatch_refuses_count_comparison(self):
         violations = compare(payload("small"), payload("ci"),
@@ -277,6 +297,9 @@ def server_payload(mode="ci"):
     return {
         "bench": "server",
         "mode": mode,
+        "cores": 4,
+        "python": "3.11.7",
+        "numpy": "2.4.6",
         "clients": 8,
         "workers": 4,
         "distinct_workloads": 4,
@@ -349,6 +372,16 @@ class TestCompareServer:
         violations = compare_server(server_payload("full"),
                                     server_payload("ci"))
         assert any("mode mismatch" in v for v in violations)
+
+    def test_cores_mismatch(self):
+        candidate = server_payload()
+        candidate["cores"] = 2
+        candidate["throughput_rps"] = 60.0
+        violations = compare_server(server_payload(), candidate)
+        assert len(violations) == 1
+        assert "cores mismatch" in violations[0]
+        assert compare_server(server_payload(), candidate,
+                              skip_wall=True) == []
 
     def test_request_count_drift(self):
         candidate = server_payload()

@@ -30,11 +30,24 @@ class TestPublicSurface:
         for module_name in ("repro.catalog", "repro.storage",
                             "repro.workload", "repro.core",
                             "repro.simulator", "repro.optimizer",
-                            "repro.experiments"):
+                            "repro.experiments", "repro.parallel"):
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", ()):
                 assert hasattr(module, name), \
                     f"{module_name}.{name} missing"
+
+    def test_one_parallel_backend(self):
+        """``jobs`` is the only parallel knob: no backend selection
+        survives in the exports or the signatures."""
+        import repro.parallel
+        from repro import LayoutAdvisor
+        from repro.parallel import PortfolioSearch
+
+        for name in ("BACKENDS", "BACKEND_CODES", "BACKEND_NAMES",
+                     "AUTO_THREAD_MAX_BYTES"):
+            assert not hasattr(repro.parallel, name), name
+        for call in (PortfolioSearch.__init__, LayoutAdvisor.recommend):
+            assert "backend" not in inspect.signature(call).parameters
 
     def test_exceptions_share_base(self):
         from repro import errors

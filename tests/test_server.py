@@ -101,7 +101,7 @@ class TestFingerprints:
         relaxed = job_fingerprint("cat", {"method": "ts-greedy"})
         tight = job_fingerprint("cat", {
             "method": "ts-greedy", "deadline": 0.5, "retries": 3,
-            "jobs": 8, "backend": "thread"})
+            "jobs": 8})
         assert relaxed == tight
 
     def test_absent_and_none_params_are_identical(self):
@@ -458,19 +458,11 @@ class TestServiceJobs:
     def test_killed_portfolio_worker_degrades_not_loses(self, service):
         """A kill_worker fault mid-portfolio still yields HTTP 200
         with ``degraded: true`` — and the partial answer is not
-        cached, so a resubmission recomputes.
-
-        Thread backend on purpose: the crash/degrade semantics are
-        identical (``fire_kill`` raises ``WorkerCrash`` outside a
-        worker process), and a SIGKILLed process worker leaks its pipe
-        fds by design — which this file's ``-W error::ResourceWarning``
-        CI run would flag.  The real process-kill path is exercised by
-        the chaos suite and the live-daemon CI job."""
+        cached, so a resubmission recomputes."""
         status, job, _ = service.handle(
             "POST", "/v1/tenants/t/jobs",
             {"workload": "w", "method": "portfolio", "jobs": 2,
-             "retries": 0, "backend": "thread",
-             "faults": "kill_worker=1"})
+             "retries": 0, "faults": "kill_worker=1"})
         assert status == 202
         done = poll(service, job["job_id"], timeout_s=120.0)
         assert done["status"] == "done"
@@ -484,8 +476,7 @@ class TestServiceJobs:
         status, again, _ = service.handle(
             "POST", "/v1/tenants/t/jobs",
             {"workload": "w", "method": "portfolio", "jobs": 2,
-             "retries": 0, "backend": "thread",
-             "faults": "kill_worker=1"})
+             "retries": 0, "faults": "kill_worker=1"})
         assert status == 202  # queued for a fresh computation
         poll(service, again["job_id"], timeout_s=120.0)
 
